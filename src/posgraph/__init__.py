@@ -6,7 +6,7 @@ edges under cheap necessary conditions. Expensive sufficient checks run
 lazily, and only when a candidate start-to-goal path appears.
 """
 from .actions import GaitAction, JumpAction, build_actions
-from .confirm import ConfirmationQueue, JumpTrajectory, solve_jump_bvp
+from .confirm import ConfirmationError, ConfirmationQueue, JumpTrajectory, solve_jump_bvp
 from .graph import EdgeStatus, PathResult, PossibilityGraph
 from .planner import Planner, PlannerConfig, PlannerInputError, find_path
 from .render import render_svg
@@ -25,6 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Box",
     "BUILTIN_NAMES",
+    "ConfirmationError",
     "ConfirmationQueue",
     "EdgeStatus",
     "GaitAction",

@@ -116,27 +116,51 @@ class GaitAction:
             sweep_fp = RectFootprint(p.crawl_len + 2.0 * m, p.crawl_wid + 2.0 * m)
         self.sweep_footprint = sweep_fp
         self.sweep_volume = VolumeSpec(sweep_fp, (0.0, top))
+        self._necessary_vertex_memo: dict[Pose, bool] = {}
+        self._sufficient_vertex_memo: dict[Pose, bool] = {}
+        self._necessary_edge_memo: dict[tuple[Pose, Pose], bool] = {}
+
+    def clear_memos(self):
+        """Forget memoized condition results. The world is static, so they
+        never go stale; clearing only bounds their memory."""
+        self._necessary_vertex_memo.clear()
+        self._sufficient_vertex_memo.clear()
+        self._necessary_edge_memo.clear()
 
     # -- conditions -------------------------------------------------------
+    # The vertex conditions and the necessary edge condition are memoized on
+    # the exact (frozen) poses, so every caller shares one result per input.
 
     def necessary_vertex(self, pose: Pose) -> bool:
-        if abs(pose.h - self.nominal_h) > self.band_half:
-            return False
-        if not volume_clear(pose, self.necessary_volume, self.world):
-            return False
-        return floor_point_solid(pose.x, pose.y, self.world)
+        ok = self._necessary_vertex_memo.get(pose)
+        if ok is None:
+            ok = self._necessary_vertex_memo[pose] = (
+                not abs(pose.h - self.nominal_h) > self.band_half
+                and volume_clear(pose, self.necessary_volume, self.world)
+                and floor_point_solid(pose.x, pose.y, self.world)
+            )
+        return ok
 
     def sufficient_vertex(self, pose: Pose) -> bool:
-        if abs(pose.h - self.nominal_h) > 1e-9:
-            return False
-        if not volume_clear(pose, self.sufficient_volume, self.world):
-            return False
-        return floor_solid(pose, self.sufficient_footprint, self.world)
+        ok = self._sufficient_vertex_memo.get(pose)
+        if ok is None:
+            ok = self._sufficient_vertex_memo[pose] = (
+                not abs(pose.h - self.nominal_h) > 1e-9
+                and volume_clear(pose, self.sufficient_volume, self.world)
+                and floor_solid(pose, self.sufficient_footprint, self.world)
+            )
+        return ok
 
     def necessary_edge(self, p0: Pose, p1: Pose) -> bool:
-        if not self.necessary_vertex(p0) or not self.necessary_vertex(p1):
-            return False
-        return swept_clear(p0, p1, self.necessary_volume, self.world, self.profile.res)
+        key = (p0, p1)
+        ok = self._necessary_edge_memo.get(key)
+        if ok is None:
+            ok = self._necessary_edge_memo[key] = (
+                self.necessary_vertex(p0)
+                and self.necessary_vertex(p1)
+                and swept_clear(p0, p1, self.necessary_volume, self.world, self.profile.res)
+            )
+        return ok
 
     def sufficient_edge(self, p0: Pose, p1: Pose) -> bool:
         if not self.sufficient_vertex(p0) or not self.sufficient_vertex(p1):
@@ -222,9 +246,15 @@ class JumpAction:
     def __init__(self, profile: RobotProfile, world: WorldModel, walk: GaitAction, crawl: GaitAction):
         self.profile = profile
         self.world = world
-        self._walk_vertex_ok = walk.necessary_vertex
-        self._crawl_vertex_ok = crawl.necessary_vertex
+        self._walk = walk
+        self._crawl = crawl
         self.queue = TransitionQueue()
+
+    def clear_memos(self):
+        """The endpoint checks are the gaits' memoized conditions; clear those,
+        since the gaits may not be enabled actions themselves."""
+        self._walk.clear_memos()
+        self._crawl.clear_memos()
 
     def necessary_vertex(self, pose: Pose) -> bool:  # jump owns no manifold
         return False
@@ -237,7 +267,7 @@ class JumpAction:
         d = math.hypot(p_land.x - p_launch.x, p_land.y - p_launch.y)
         if d < 1e-9 or d > self.profile.jump_range_max + 1e-9:
             return None
-        if not self._walk_vertex_ok(p_launch) or not self._crawl_vertex_ok(p_land):
+        if not self._walk.necessary_vertex(p_launch) or not self._crawl.necessary_vertex(p_land):
             return None
         for apex in self.profile.apex_grid:
             if parabola_clear(p_launch, p_land, apex, self.profile.r_jump, self.world, self.profile.res):

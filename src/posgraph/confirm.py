@@ -32,6 +32,10 @@ CONFIRMED = "confirmed"
 REFUTED = "refuted"
 
 
+class ConfirmationError(RuntimeError):
+    """A confirmation job raised; the message names the job's edge."""
+
+
 @dataclass(frozen=True)
 class EdgeSnapshot:
     """Immutable copy of everything a job needs to judge one edge."""
@@ -302,6 +306,10 @@ class ConfirmationQueue:
     of the line when unfinished: with k pending jobs needing q quanta each, no
     job waits more than k*q quanta. Worker threads and the cooperative step()
     path share the same scheduling discipline.
+
+    A job that raises ends the run with a ConfirmationError naming its edge:
+    step() raises it at once, and a worker thread hands it to the next
+    drain_verdicts() call.
     """
 
     def __init__(self, world: WorldModel, quantum: int = 1000):
@@ -309,6 +317,7 @@ class ConfirmationQueue:
         self.quantum = quantum
         self._pending: deque[ConfirmationJob] = deque()
         self._verdicts: list[Verdict] = []
+        self._failures: list[ConfirmationError] = []
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._threads: list[threading.Thread] = []
@@ -339,7 +348,7 @@ class ConfirmationQueue:
                 if not self._pending:
                     break
                 job = self._pending.popleft()
-            verdict = job.step(self.quantum, self.world)
+            verdict = self._run_quantum(job)
             with self._lock:
                 if verdict is None:
                     self._pending.append(job)
@@ -356,13 +365,26 @@ class ConfirmationQueue:
                 if self._stop:
                     return
                 job = self._pending.popleft()
-            verdict = job.step(self.quantum, self.world)
+            try:
+                verdict = self._run_quantum(job)
+            except ConfirmationError as exc:
+                with self._cond:
+                    self._failures.append(exc)
+                continue
             with self._cond:
                 if verdict is None:
                     self._pending.append(job)
                     self._cond.notify()
                 else:
                     self._verdicts.append(verdict)
+
+    def _run_quantum(self, job: ConfirmationJob) -> Verdict | None:
+        try:
+            return job.step(self.quantum, self.world)
+        except Exception as exc:
+            raise ConfirmationError(
+                f"confirmation job {job.job_id} for {job.edge.tag} edge {job.edge.edge_id} raised {exc!r}"
+            ) from exc
 
     def launch(self, n_workers: int):
         with self._lock:
@@ -382,7 +404,11 @@ class ConfirmationQueue:
         self._threads.clear()
 
     def drain_verdicts(self) -> list[Verdict]:
+        """Collect and clear the verdicts so far; raises the first
+        ConfirmationError a worker thread caught."""
         with self._lock:
+            if self._failures:
+                raise self._failures[0]
             out = self._verdicts
             self._verdicts = []
             return out

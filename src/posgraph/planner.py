@@ -487,6 +487,10 @@ class Planner:
                 n += 1
                 self.stats.cycles = n
                 self.events.append(f"CYCLE {n}")
+                # condition memos live for one cycle: repeats cluster within
+                # a cycle, and unbounded memos cost memory on long solves
+                for action in self.actions:
+                    action.clear_memos()
                 if not threaded:
                     self.queue.step(self.config.quanta_per_cycle)
                 self._apply_verdicts()

@@ -4,6 +4,12 @@ The exploration space is a planar pose plus a posture height: (x, y, theta, h).
 Worlds are axis-aligned: box obstacles in 3D, rectangular floor gaps, and a
 solid floor at z = 0 everywhere else. Angled structures are expected to be
 approximated by staircases of boxes before they get here.
+
+Single poses take a scalar pure-Python path (`volume_clear`, `floor_solid`,
+`floor_point_solid`): with a handful of boxes, numpy's per-call overhead is
+larger than the work. Sampled sweeps take the numpy batch path. Both paths
+evaluate the same float expressions in the same order, so they agree bit for
+bit, and both read the obstacles of a z band from a per-world cache.
 """
 from __future__ import annotations
 
@@ -107,6 +113,7 @@ class VolumeSpec:
         lo, hi = self.z_band
         if not lo < hi:
             raise ValueError(f"volume z band must be ascending, got {self.z_band}")
+        object.__setattr__(self, "z_band", (lo, hi))  # a hashable key for WorldModel.band
 
 
 @dataclass(frozen=True)
@@ -161,6 +168,7 @@ class RobotProfile:
     jump_angle_max: float = math.radians(80.0)
 
     def __post_init__(self):
+        self.apex_grid = _apex_grid(self.apex_grid)
         if not 0.0 < self.h_crawl < self.h_walk:
             raise ValueError("profile requires 0 < h_crawl < h_walk")
         if self.h_crawl + self.delta_crawl >= self.h_walk - self.delta_walk:
@@ -177,6 +185,35 @@ class RobotProfile:
             raise ValueError("profile jump angle window must satisfy 0 <= min < max < pi/2")
 
 
+def _apex_grid(grid) -> tuple[float, ...]:
+    """The apex rises as a tuple of floats; raises unless grid is a non-empty
+    sequence of finite numbers >= 0."""
+    message = f"profile apex_grid must be a non-empty list of numbers >= 0, got {grid!r}"
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise ValueError(message)
+    for a in grid:
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0.0 <= a < math.inf:
+            raise ValueError(message)
+    return tuple(float(a) for a in grid)
+
+
+def _aabb_rects(rows) -> tuple[tuple[float, float, float, float], ...]:
+    """(center x, center y, half x, half y) of each [xlo, xhi, ylo, yhi] row,
+    by the expressions `_rects_overlap_aabbs` uses."""
+    return tuple(
+        (0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * (x1 - x0), 0.5 * (y1 - y0)) for x0, x1, y0, y1 in rows
+    )
+
+
+@dataclass(frozen=True)
+class _Band:
+    """The obstacles whose z interval overlaps one volume's z band."""
+
+    boxes: tuple[tuple[float, float, float, float], ...]  # (xlo, xhi, ylo, yhi)
+    rects: tuple[tuple[float, float, float, float], ...]  # (cx, cy, half x, half y)
+    array: np.ndarray  # the boxes as rows of [xlo, xhi, ylo, yhi]
+
+
 @dataclass
 class WorldModel:
     """Bounded 2.5D world: rectangle bounds, box obstacles, floor gaps."""
@@ -187,6 +224,9 @@ class WorldModel:
     gaps: tuple[GapRect, ...] = ()
     _obs: np.ndarray = field(init=False, repr=False, compare=False)
     _gap: np.ndarray = field(init=False, repr=False, compare=False)
+    _gap_boxes: tuple = field(init=False, repr=False, compare=False)
+    _gap_rects: tuple = field(init=False, repr=False, compare=False)
+    _bands: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.bounds_x[0] < self.bounds_x[1] or not self.bounds_y[0] < self.bounds_y[1]:
@@ -206,6 +246,19 @@ class WorldModel:
         self._gap = np.array(
             [[g.x[0], g.x[1], g.y[0], g.y[1]] for g in self.gaps], dtype=float
         ).reshape(len(self.gaps), 4)
+        self._gap_boxes = tuple(tuple(map(float, row)) for row in self._gap)
+        self._gap_rects = _aabb_rects(self._gap_boxes)
+        self._bands = {}
+
+    def band(self, z_band: tuple[float, float]) -> _Band:
+        """Obstacles strictly overlapping the z band, filtered once per band."""
+        band = self._bands.get(z_band)
+        if band is None:  # threads racing here build equal values
+            zlo, zhi = z_band
+            sel = self._obs[(self._obs[:, 4] < zhi) & (self._obs[:, 5] > zlo)][:, 0:4]
+            boxes = tuple(tuple(map(float, row)) for row in sel)
+            band = self._bands[z_band] = _Band(boxes, _aabb_rects(boxes), sel)
+        return band
 
     @staticmethod
     def _interval_inside(inner: tuple[float, float], outer: tuple[float, float]) -> bool:
@@ -235,7 +288,11 @@ def _discs_hit_boxes(xs, ys, radius, zlo, zhi, obs) -> bool:
     zmask = (obs[:, 4] < zhi) & (obs[:, 5] > zlo)
     if not zmask.any():
         return False
-    sel = obs[zmask]
+    return _discs_hit_aabbs(xs, ys, radius, obs[zmask])
+
+
+def _discs_hit_aabbs(xs, ys, radius, sel) -> bool:
+    """True if any disc strictly penetrates any row of [xlo, xhi, ylo, yhi]."""
     xs = np.asarray(xs, dtype=float)[:, None]
     ys = np.asarray(ys, dtype=float)[:, None]
     dx = np.maximum(np.maximum(sel[None, :, 0] - xs, xs - sel[None, :, 1]), 0.0)
@@ -243,40 +300,88 @@ def _discs_hit_boxes(xs, ys, radius, zlo, zhi, obs) -> bool:
     return bool((dx * dx + dy * dy < radius * radius).any())
 
 
+def _disc_hits_any(x, y, radius, boxes) -> bool:
+    """Scalar `_discs_hit_aabbs` for one disc over (xlo, xhi, ylo, yhi) tuples."""
+    rr = radius * radius
+    for x0, x1, y0, y1 in boxes:
+        dx = max(x0 - x, x - x1, 0.0)
+        dy = max(y0 - y, y - y1, 0.0)
+        if dx * dx + dy * dy < rr:
+            return True
+    return False
+
+
 def _rect_overlaps_aabbs(cx, cy, theta, length, width, rects) -> np.ndarray:
     """Strict-interior overlap of one oriented rect against rows of [xlo,xhi,ylo,yhi]."""
-    c = math.cos(theta)
-    s = math.sin(theta)
+    return _rects_overlap_aabbs(np.array([cx], dtype=float), np.array([cy], dtype=float), (theta,), length, width, rects)[0]
+
+
+def _rects_overlap_aabbs(xs, ys, thetas, length, width, rects) -> np.ndarray:
+    """Overlap matrix, placements x rows, in one separating-axis pass.
+    Headings go through math.cos and math.sin, one placement at a time, so
+    every path sees the same values as `_rect_hits_any`."""
+    c = np.array([math.cos(t) for t in thetas])[:, None]
+    s = np.array([math.sin(t) for t in thetas])[:, None]
+    cx = xs[:, None]
+    cy = ys[:, None]
     hl = 0.5 * length
     hw = 0.5 * width
     bcx = 0.5 * (rects[:, 0] + rects[:, 1])
     bcy = 0.5 * (rects[:, 2] + rects[:, 3])
     bhx = 0.5 * (rects[:, 1] - rects[:, 0])
     bhy = 0.5 * (rects[:, 3] - rects[:, 2])
+    ac = np.abs(c)
+    as_ = np.abs(s)
     # separating axis test on the two world axes and the two rect axes
-    ox = np.abs(cx - bcx) < abs(c) * hl + abs(s) * hw + bhx
-    oy = np.abs(cy - bcy) < abs(s) * hl + abs(c) * hw + bhy
+    ox = np.abs(cx - bcx) < ac * hl + as_ * hw + bhx
+    oy = np.abs(cy - bcy) < as_ * hl + ac * hw + bhy
     cu = c * cx + s * cy
     cw = -s * cx + c * cy
-    ou = np.abs(cu - (c * bcx + s * bcy)) < hl + np.abs(c) * bhx + np.abs(s) * bhy
-    ow = np.abs(cw - (-s * bcx + c * bcy)) < hw + np.abs(s) * bhx + np.abs(c) * bhy
+    ou = np.abs(cu - (c * bcx + s * bcy)) < hl + ac * bhx + as_ * bhy
+    ow = np.abs(cw - (-s * bcx + c * bcy)) < hw + as_ * bhx + ac * bhy
     return ox & oy & ou & ow
 
 
+def _rect_hits_any(cx, cy, theta, length, width, rects) -> bool:
+    """Scalar `_rects_overlap_aabbs(...).any()` over (cx, cy, half x, half y)
+    tuples from `_aabb_rects`, with the same expressions in the same order."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    hl = 0.5 * length
+    hw = 0.5 * width
+    ac = abs(c)
+    as_ = abs(s)
+    ex = ac * hl + as_ * hw
+    ey = as_ * hl + ac * hw
+    cu = c * cx + s * cy
+    cw = -s * cx + c * cy
+    for bcx, bcy, bhx, bhy in rects:
+        if (
+            abs(cx - bcx) < ex + bhx
+            and abs(cy - bcy) < ey + bhy
+            and abs(cu - (c * bcx + s * bcy)) < hl + ac * bhx + as_ * bhy
+            and abs(cw - (-s * bcx + c * bcy)) < hw + as_ * bhx + ac * bhy
+        ):
+            return True
+    return False
+
+
 def rect_corners(cx: float, cy: float, theta: float, length: float, width: float) -> np.ndarray:
+    return np.array(_rect_corner_tuples(cx, cy, theta, length, width))
+
+
+def _rect_corner_tuples(cx, cy, theta, length, width) -> tuple[tuple[float, float], ...]:
     c = math.cos(theta)
     s = math.sin(theta)
     hl = 0.5 * length
     hw = 0.5 * width
     ux, uy = c * hl, s * hl
     wx, wy = -s * hw, c * hw
-    return np.array(
-        [
-            [cx + ux + wx, cy + uy + wy],
-            [cx + ux - wx, cy + uy - wy],
-            [cx - ux + wx, cy - uy + wy],
-            [cx - ux - wx, cy - uy - wy],
-        ]
+    return (
+        (cx + ux + wx, cy + uy + wy),
+        (cx + ux - wx, cy + uy - wy),
+        (cx - ux + wx, cy - uy + wy),
+        (cx - ux - wx, cy - uy - wy),
     )
 
 
@@ -292,22 +397,13 @@ def _volume_clear_batch(xs, ys, thetas, vol: VolumeSpec, world: WorldModel) -> b
     )
     if not inb.all():
         return False
-    zlo, zhi = vol.z_band
+    sel = world.band(vol.z_band).array
+    if sel.shape[0] == 0:
+        return True
     fp = vol.footprint
     if isinstance(fp, DiscFootprint):
-        return not _discs_hit_boxes(xs, ys, fp.radius, zlo, zhi, world._obs)
-    obs = world._obs
-    if obs.shape[0] == 0:
-        return True
-    zmask = (obs[:, 4] < zhi) & (obs[:, 5] > zlo)
-    if not zmask.any():
-        return True
-    sel = obs[zmask][:, 0:4]
-    thetas = np.asarray(thetas, dtype=float)
-    for i in range(xs.shape[0]):
-        if _rect_overlaps_aabbs(xs[i], ys[i], thetas[i], fp.length, fp.width, sel).any():
-            return False
-    return True
+        return not _discs_hit_aabbs(xs, ys, fp.radius, sel)
+    return not _rects_overlap_aabbs(xs, ys, thetas, fp.length, fp.width, sel).any()
 
 
 def volume_clear(pose: Pose, vol: VolumeSpec, world: WorldModel) -> bool:
@@ -316,9 +412,13 @@ def volume_clear(pose: Pose, vol: VolumeSpec, world: WorldModel) -> bool:
     A pose outside the world bounds is reported as not clear rather than an
     error, so callers can probe freely.
     """
-    return _volume_clear_batch(
-        np.array([pose.x]), np.array([pose.y]), np.array([pose.theta]), vol, world
-    )
+    if not world.contains(pose.x, pose.y):
+        return False
+    band = world.band(vol.z_band)
+    fp = vol.footprint
+    if isinstance(fp, DiscFootprint):
+        return not _disc_hits_any(pose.x, pose.y, fp.radius, band.boxes)
+    return not _rect_hits_any(pose.x, pose.y, pose.theta, fp.length, fp.width, band.rects)
 
 
 def sweep_steps(p0: Pose, p1: Pose, vol: VolumeSpec, res: float) -> int:
@@ -355,11 +455,10 @@ def floor_point_solid(x: float, y: float, world: WorldModel) -> bool:
     """A single support point: inside bounds and not strictly inside any gap."""
     if not world.contains(x, y):
         return False
-    g = world._gap
-    if g.shape[0] == 0:
-        return True
-    inside = (g[:, 0] < x) & (x < g[:, 1]) & (g[:, 2] < y) & (y < g[:, 3])
-    return not bool(inside.any())
+    for gx0, gx1, gy0, gy1 in world._gap_boxes:
+        if gx0 < x < gx1 and gy0 < y < gy1:
+            return False
+    return True
 
 
 def segment_crosses_gap(world: WorldModel, x0: float, y0: float, x1: float, y1: float) -> bool:
@@ -370,7 +469,7 @@ def segment_crosses_gap(world: WorldModel, x0: float, y0: float, x1: float, y1: 
     """
     dx = x1 - x0
     dy = y1 - y0
-    for gx0, gx1, gy0, gy1 in world._gap:
+    for gx0, gx1, gy0, gy1 in world._gap_boxes:
         t_lo, t_hi = 0.0, 1.0
         ok = True
         for p, d, lo, hi in ((x0, dx, gx0, gx1), (y0, dy, gy0, gy1)):
@@ -431,7 +530,6 @@ def floor_solid(pose: Pose, footprint: Footprint, world: WorldModel) -> bool:
 
     Disc footprints ignore pose.theta and pose.h entirely.
     """
-    g = world._gap
     if isinstance(footprint, DiscFootprint):
         r = footprint.radius
         if not (
@@ -441,24 +539,16 @@ def floor_solid(pose: Pose, footprint: Footprint, world: WorldModel) -> bool:
             and pose.y + r <= world.bounds_y[1] + 1e-12
         ):
             return False
-        if g.shape[0] == 0:
-            return True
-        dx = np.maximum(np.maximum(g[:, 0] - pose.x, pose.x - g[:, 1]), 0.0)
-        dy = np.maximum(np.maximum(g[:, 2] - pose.y, pose.y - g[:, 3]), 0.0)
-        return not bool((dx * dx + dy * dy < r * r).any())
-    corners = rect_corners(pose.x, pose.y, pose.theta, footprint.length, footprint.width)
-    if not (
-        (corners[:, 0] >= world.bounds_x[0] - 1e-12).all()
-        and (corners[:, 0] <= world.bounds_x[1] + 1e-12).all()
-        and (corners[:, 1] >= world.bounds_y[0] - 1e-12).all()
-        and (corners[:, 1] <= world.bounds_y[1] + 1e-12).all()
-    ):
-        return False
-    if g.shape[0] == 0:
-        return True
-    return not bool(
-        _rect_overlaps_aabbs(pose.x, pose.y, pose.theta, footprint.length, footprint.width, g).any()
-    )
+        return not _disc_hits_any(pose.x, pose.y, r, world._gap_boxes)
+    for cx, cy in _rect_corner_tuples(pose.x, pose.y, pose.theta, footprint.length, footprint.width):
+        if not (
+            cx >= world.bounds_x[0] - 1e-12
+            and cx <= world.bounds_x[1] + 1e-12
+            and cy >= world.bounds_y[0] - 1e-12
+            and cy <= world.bounds_y[1] + 1e-12
+        ):
+            return False
+    return not _rect_hits_any(pose.x, pose.y, pose.theta, footprint.length, footprint.width, world._gap_rects)
 
 
 def _floor_solid_batch(xs, ys, thetas, footprint: Footprint, world: WorldModel) -> bool:

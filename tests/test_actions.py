@@ -244,3 +244,49 @@ def test_graph_checks_wiring(open_world, profile):
     bchecks = graph_checks(build_actions(["walk"], profile, barred), profile, barred)
     assert "crawl" not in bchecks
     assert not bchecks["transition"].edge(Pose(4.5, 4, 0, 1.0), Pose(4.5, 4, 0, 0.3))
+
+
+# -- memoized conditions ----------------------------------------------------
+
+
+def test_repeated_conditions_run_their_kernels_once(open_world, profile, monkeypatch):
+    from posgraph import actions as actions_mod
+
+    calls = {}
+
+    def count(name):
+        original = getattr(actions_mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(actions_mod, name, counted)
+
+    for name in ("volume_clear", "floor_point_solid", "floor_solid", "swept_clear"):
+        count(name)
+    walk = gait(open_world, profile, "walk")
+    p0, p1 = Pose(2.0, 2.0, 0.0, 1.0), Pose(2.3, 2.0, 0.0, 1.0)
+    for _ in range(3):
+        assert walk.necessary_vertex(p0)
+        assert walk.necessary_vertex(Pose(2.0, 2.0, 0.0, 1.0))  # equal pose, new object
+    assert calls == {"volume_clear": 1, "floor_point_solid": 1}
+    for _ in range(3):
+        assert walk.necessary_edge(p0, p1)
+    assert calls == {"volume_clear": 2, "floor_point_solid": 2, "swept_clear": 1}
+    assert walk.necessary_edge(p1, p0)  # the reverse sweep is a new input
+    assert calls["swept_clear"] == 2
+    for _ in range(3):
+        assert walk.sufficient_vertex(p0)
+    assert calls["volume_clear"] == 3 and calls["floor_solid"] == 1
+    walk.clear_memos()
+    assert walk.necessary_vertex(p0) and walk.sufficient_vertex(p0)
+    assert calls["volume_clear"] == 5 and calls["floor_point_solid"] == 3 and calls["floor_solid"] == 2
+
+
+def test_jump_clears_the_memos_of_its_gaits(open_world, profile):
+    walk, crawl, jump = build_actions(["walk", "crawl", "jump"], profile, open_world)
+    assert jump.edge_apex(Pose(2, 2, 0, 1.0), Pose(3, 2, 0, 0.3)) is not None
+    assert walk._necessary_vertex_memo and crawl._necessary_vertex_memo
+    jump.clear_memos()
+    assert not walk._necessary_vertex_memo and not crawl._necessary_vertex_memo

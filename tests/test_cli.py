@@ -163,3 +163,19 @@ def test_missing_required_args_exit_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])
     assert exc.value.code == 2  # argparse usage failure, distinct from our codes
+
+
+@pytest.mark.parametrize("grid", [5, [-0.2]])
+def test_bad_apex_grid_exits_one_without_traceback(tmp_path, capsys, grid):
+    # a jump scenario, so a grid that slipped through would reach the parabola probe
+    scn = small_scenario_file(
+        tmp_path,
+        gaps=[{"x": [2.8, 3.4], "y": [0, 4]}],
+        obstacles=[],
+        actions=["walk", "crawl", "jump"],
+        profile={"apex_grid": grid},
+    )
+    assert main(solve_args(scn)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: profile: profile apex_grid")
+    assert "Traceback" not in err

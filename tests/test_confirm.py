@@ -20,6 +20,7 @@ from posgraph import (
 from posgraph.confirm import (
     CONFIRMED,
     REFUTED,
+    ConfirmationError,
     EdgeSnapshot,
     JumpConfirmJob,
     Verdict,
@@ -311,3 +312,53 @@ def test_worker_threads_complete_real_jobs(profile):
     assert len(got) == 2
     outcomes = {v.edge.pose_src.y: v.outcome for v in got}
     assert outcomes == {2.0: REFUTED, 6.0: CONFIRMED}
+
+
+class RaisingJob:
+    def __init__(self, edge_id):
+        self.job_id = -1
+        self.edge = EdgeSnapshot(edge_id, "jump", 0, 1, Pose(0, 0, 0, 1.0), Pose(1, 0, 0, 0.3), 1.0)
+
+    def step(self, budget, world):
+        raise ZeroDivisionError("boom")
+
+
+def test_raising_job_fails_the_cooperative_step(open_world):
+    q = ConfirmationQueue(open_world)
+    q.submit(RaisingJob(7))
+    with pytest.raises(ConfirmationError, match="jump edge 7 raised ZeroDivisionError"):
+        q.step(1)
+
+
+def test_raising_job_in_a_worker_thread_surfaces_on_drain(open_world):
+    q = ConfirmationQueue(open_world)
+    q.submit(FakeJob(1, [], "ok"))
+    q.submit(RaisingJob(7))
+    q.launch(2)
+    deadline = time.monotonic() + 10.0
+    try:
+        with pytest.raises(ConfirmationError, match="edge 7") as info:
+            while time.monotonic() < deadline:
+                q.drain_verdicts()
+                time.sleep(0.01)
+    finally:
+        q.shutdown()
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    with pytest.raises(ConfirmationError):
+        q.drain_verdicts()  # the failure stays until the run ends
+
+
+def test_threaded_solve_fails_fast_when_a_job_raises(monkeypatch):
+    from posgraph import Planner, PlannerConfig, builtin_scenario
+
+    def boom(self, budget, world):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(JumpConfirmJob, "step", boom)
+    sc = builtin_scenario("double_jump")
+    planner = Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, PlannerConfig(t_max=60.0, seed=0, workers=2))
+    t0 = time.monotonic()
+    with pytest.raises(ConfirmationError, match=r"jump edge \d+ raised RuntimeError\('solver crashed'\)"):
+        planner.find_path()
+    assert time.monotonic() - t0 < 30.0
+    assert not any(t.is_alive() for t in planner.queue._threads)

@@ -289,3 +289,20 @@ def test_find_path_deterministic_with_single_worker(profile):
         return pl.graph.dump(), pl.event_log(), json.dumps(pl.describe_path(path))
 
     assert run() == run()
+
+
+def test_find_path_scopes_condition_memos_to_one_cycle(profile, monkeypatch):
+    from posgraph.actions import GaitAction
+
+    cleared = []
+    original = GaitAction.clear_memos
+
+    def clear(self):
+        cleared.append(self.tag)
+        original(self)
+
+    monkeypatch.setattr(GaitAction, "clear_memos", clear)
+    world = WorldModel((0, 10), (0, 8), [Box((4.8, 5.2), (0, 6), (0, 2.2))], [])
+    pl = make_planner(world, profile, Pose(1, 1, 0, 1.0), Pose(9, 1, 0, 1.0), ["walk", "crawl"])
+    assert pl.find_path() is not None
+    assert cleared == ["walk", "crawl"] * pl.stats.cycles

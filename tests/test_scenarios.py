@@ -208,3 +208,9 @@ def test_double_jump_needs_jumps():
     start, goal = (s.start.x, s.start.y), (s.goals[0].x, s.goals[0].y)
     assert not orc.reachable(start, goal, allow_jump=False)
     assert orc.reachable(start, goal, allow_jump=True)
+
+
+@pytest.mark.parametrize("grid", [5, [-0.2], [], ["high"]])
+def test_bad_apex_grid_rejected_at_parse(grid):
+    with pytest.raises(ValueError, match="profile: profile apex_grid must be a non-empty list of numbers >= 0"):
+        parse_scenario(minimal_data(profile={"apex_grid": grid}))

@@ -12,7 +12,9 @@ from posgraph.world import (
     RectFootprint,
     VolumeSpec,
     _discs_hit_boxes,
+    _floor_solid_batch,
     _rect_overlaps_aabbs,
+    _volume_clear_batch,
     floor_point_solid,
     floor_solid,
     interpolate_poses,
@@ -25,6 +27,8 @@ from posgraph.world import (
     swept_clear,
     volume_clear,
 )
+
+from conftest import make_random_world
 
 
 # -- oracles --------------------------------------------------------------
@@ -372,3 +376,188 @@ def test_robot_profile_validation():
         RobotProfile(h_walk=0.2)  # walk band below crawl band
     with pytest.raises(ValueError):
         RobotProfile(jump_angle_min=1.5, jump_angle_max=1.0)
+
+
+# -- scalar single-pose kernels vs the batch kernels -----------------------
+
+
+def _reference_volume_clear(pose, vol, world):
+    """One-pose numpy test over all obstacles, z band filtered per call."""
+    if not world.contains(pose.x, pose.y):
+        return False
+    zlo, zhi = vol.z_band
+    fp = vol.footprint
+    if isinstance(fp, DiscFootprint):
+        return not _discs_hit_boxes(np.array([pose.x]), np.array([pose.y]), fp.radius, zlo, zhi, world._obs)
+    obs = world._obs
+    sel = obs[(obs[:, 4] < zhi) & (obs[:, 5] > zlo)][:, 0:4]
+    return not _rect_overlaps_aabbs(pose.x, pose.y, pose.theta, fp.length, fp.width, sel).any()
+
+
+def _reference_floor_solid(pose, fp, world):
+    """Footprint support by numpy over every gap row."""
+    bx, by = world.bounds_x, world.bounds_y
+    if isinstance(fp, DiscFootprint):
+        corners = np.array([[pose.x - fp.radius, pose.y - fp.radius], [pose.x + fp.radius, pose.y + fp.radius]])
+    else:
+        corners = rect_corners(pose.x, pose.y, pose.theta, fp.length, fp.width)
+    if not (
+        (corners[:, 0] >= bx[0] - 1e-12).all()
+        and (corners[:, 0] <= bx[1] + 1e-12).all()
+        and (corners[:, 1] >= by[0] - 1e-12).all()
+        and (corners[:, 1] <= by[1] + 1e-12).all()
+    ):
+        return False
+    g = world._gap
+    if g.shape[0] == 0:
+        return True
+    if isinstance(fp, DiscFootprint):
+        dx = np.maximum(np.maximum(g[:, 0] - pose.x, pose.x - g[:, 1]), 0.0)
+        dy = np.maximum(np.maximum(g[:, 2] - pose.y, pose.y - g[:, 3]), 0.0)
+        return not (dx * dx + dy * dy < fp.radius * fp.radius).any()
+    return not _rect_overlaps_aabbs(pose.x, pose.y, pose.theta, fp.length, fp.width, g).any()
+
+
+# floor-level volumes (walk and crawl bodies, thin probes) and a band that
+# only raised bars reach
+KERNEL_VOLUMES = (
+    VolumeSpec(DiscFootprint(0.25), (0.0, 1.6)),
+    VolumeSpec(DiscFootprint(0.05), (0.05, 1.5)),
+    VolumeSpec(RectFootprint(0.9, 0.5), (0.0, 0.6)),
+    VolumeSpec(RectFootprint(0.95, 0.55), (0.0, 1.6)),
+    VolumeSpec(DiscFootprint(0.3), (1.0, 1.6)),
+    VolumeSpec(RectFootprint(0.9, 0.5), (1.0, 1.6)),
+    VolumeSpec(DiscFootprint(0.625), (0.0, 1.5)),
+    VolumeSpec(RectFootprint(1.0, 0.5), (0.0, 0.5)),
+)
+KERNEL_FOOTPRINTS = (
+    DiscFootprint(0.25),
+    DiscFootprint(0.625),
+    RectFootprint(0.9, 0.5),
+    RectFootprint(0.95, 0.55),
+    RectFootprint(1.0, 0.5),
+)
+
+
+def _check_kernels_agree(world, poses):
+    for vol in KERNEL_VOLUMES:
+        for p in poses:
+            want = _reference_volume_clear(p, vol, world)
+            assert volume_clear(p, vol, world) == want, (p, vol)
+            one = _volume_clear_batch(np.array([p.x]), np.array([p.y]), np.array([p.theta]), vol, world)
+            assert one == want, (p, vol)
+        xs, ys, ths = (np.array([getattr(p, a) for p in poses]) for a in ("x", "y", "theta"))
+        assert _volume_clear_batch(xs, ys, ths, vol, world) == all(volume_clear(p, vol, world) for p in poses)
+    for fp in KERNEL_FOOTPRINTS:
+        for p in poses:
+            want = _reference_floor_solid(p, fp, world)
+            assert floor_solid(p, fp, world) == want, (p, fp)
+            assert _floor_solid_batch([p.x], [p.y], [p.theta], fp, world) == want, (p, fp)
+    for p in poses:
+        g = world._gap
+        inside = ((g[:, 0] < p.x) & (p.x < g[:, 1]) & (g[:, 2] < p.y) & (p.y < g[:, 3])).any()
+        assert floor_point_solid(p.x, p.y, world) == (world.contains(p.x, p.y) and not inside), p
+
+
+def test_scalar_kernels_match_batch_on_random_poses():
+    checked = 0
+    for seed in range(6):
+        rng = random.Random(100 + seed)
+        world = make_random_world(rng, with_gaps=True)
+        poses = [
+            Pose(rng.uniform(-0.2, 10.2), rng.uniform(-0.2, 8.2), rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 1.2))
+            for _ in range(120)
+        ]
+        _check_kernels_agree(world, poses)
+        checked += len(poses)
+    assert checked == 720
+
+
+def _tie(lhs, rhs, c):
+    """A value within 32 ulps of c where lhs(value) == rhs exactly, or None."""
+    for _ in range(32):
+        c = math.nextafter(c, -math.inf)
+    for _ in range(64):
+        if lhs(c) == rhs:
+            return c
+        c = math.nextafter(c, math.inf)
+    return None
+
+
+def test_scalar_kernels_match_batch_on_exact_contacts():
+    """Face and corner contacts built from dyadic numbers, so `<` versus
+    `<=` decides each answer; one ulp inward must flip it."""
+    world = WorldModel(
+        (0.0, 8.0),
+        (0.0, 8.0),
+        (Box((2.0, 3.0), (2.0, 3.0), (0.0, 2.0)), Box((5.0, 6.0), (1.0, 7.0), (0.75, 1.875))),
+        (GapRect((2.0, 3.0), (5.0, 6.0)),),
+    )
+    walk = VolumeSpec(DiscFootprint(0.625), (0.0, 1.5))
+    crawl = VolumeSpec(RectFootprint(1.0, 0.5), (0.0, 0.5))
+    bar = VolumeSpec(DiscFootprint(0.625), (1.0, 1.5))
+    # disc touching a face, then a corner (a 3-4-5 triangle scaled by 1/8)
+    face = Pose(2.0 - 0.625, 2.5, 0.0, 1.0)
+    corner = Pose(3.0 + 0.375, 3.0 + 0.5, 0.0, 1.0)
+    assert volume_clear(face, walk, world) and volume_clear(corner, walk, world)
+    assert not volume_clear(Pose(math.nextafter(face.x, 9.0), face.y, 0.0, 1.0), walk, world)
+    assert not volume_clear(Pose(corner.x, math.nextafter(corner.y, 0.0), 0.0, 1.0), walk, world)
+    # the raised bar only counts in its own band; the disc touches its face
+    under = Pose(5.0 - 0.625, 4.0, 0.0, 1.0)
+    assert volume_clear(under, bar, world)
+    assert not volume_clear(Pose(math.nextafter(under.x, 9.0), 4.0, 0.0, 1.0), bar, world)
+    # rectangle face and corner contacts, heading along x
+    rect_face = Pose(1.5, 2.5, 0.0, 0.3)
+    rect_corner = Pose(1.5, 1.75, 0.0, 0.3)
+    assert volume_clear(rect_face, crawl, world) and volume_clear(rect_corner, crawl, world)
+    assert not volume_clear(Pose(math.nextafter(1.5, 9.0), 2.5, 0.0, 0.3), crawl, world)
+    # support: disc and rectangle touching the gap rim from outside
+    disc = DiscFootprint(0.625)
+    rim = Pose(2.5, 5.0 - 0.625, 0.0, 1.0)
+    assert floor_solid(rim, disc, world)
+    assert not floor_solid(Pose(2.5, math.nextafter(rim.y, 9.0), 0.0, 1.0), disc, world)
+    rect = RectFootprint(1.0, 0.5)
+    assert floor_solid(Pose(1.5, 5.5, 0.0, 0.3), rect, world)
+    assert not floor_solid(Pose(math.nextafter(1.5, 9.0), 5.5, 0.0, 0.3), rect, world)
+    # a footprint touching the world edge is inside; one ulp out is not
+    assert floor_solid(Pose(0.625, 7.0, 0.0, 1.0), disc, world)
+    assert floor_point_solid(2.0, 5.5, world) and not floor_point_solid(math.nextafter(2.0, 9.0), 5.5, world)
+
+    contacts = [face, corner, under, rect_face, rect_corner, rim, Pose(1.5, 5.5, 0.0, 0.3)]
+    # a rotated rectangle whose corner touches a box face: only the world
+    # axis separates them, and only by a tie
+    ties = []
+    for th in (0.3, 1.1, -2.0, 2.7, 0.7, -1.3):
+        c, s = math.cos(th), math.sin(th)
+        # a corner on a box face (the world axis separates) ...
+        dx = abs(c) * 0.5 + abs(s) * 0.25 + 0.5
+        dy = abs(s) * 0.5 + abs(c) * 0.25 + 0.5
+        ties.append(Pose(_tie(lambda x: abs(x - 2.5), dx, 2.5 - dx), 2.5, th, 0.3))
+        ties.append(Pose(2.5, _tie(lambda y: abs(y - 2.5), dy, 2.5 + dy), th, 0.3))
+        # ... and a box corner on a rectangle face (a rectangle axis does)
+        du = 0.5 + abs(c) * 0.5 + abs(s) * 0.5
+        cy = 2.5 - s * du
+        cu = c * 2.5 + s * 2.5
+        ties.append(Pose(_tie(lambda x: abs(c * x + s * cy - cu), du, 2.5 - c * du), cy, th, 0.3))
+        dw = 0.25 + abs(s) * 0.5 + abs(c) * 0.5
+        cx = 2.5 + s * dw
+        cw = -s * 2.5 + c * 2.5
+        ties.append(Pose(cx, _tie(lambda y: abs(-s * cx + c * y - cw), dw, 2.5 - c * dw), th, 0.3))
+    ties = [p for p in ties if None not in (p.x, p.y)]
+    contacts += ties
+    nudged = [
+        Pose(p.x + dx, p.y + dy, th, p.h)
+        for p in contacts
+        for dx in (-1e-12, 0.0, 1e-12)
+        for dy in (-1e-12, 0.0, 1e-12)
+        for th in (0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4)
+    ]
+    _check_kernels_agree(world, contacts + nudged)
+
+
+def test_robot_profile_apex_grid_validation():
+    assert RobotProfile(apex_grid=[1, 0.5]).apex_grid == (1.0, 0.5)
+    assert all(type(a) is float for a in RobotProfile(apex_grid=(0, 2)).apex_grid)
+    for bad in (5, (), [-0.2], ["0.2"], [True], [float("nan")], [float("inf")], "0.2"):
+        with pytest.raises(ValueError, match="apex_grid"):
+            RobotProfile(apex_grid=bad)
