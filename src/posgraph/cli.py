@@ -21,6 +21,14 @@ EXIT_INPUT = 1
 EXIT_NO_PATH = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT: argparse's own 2 is EXIT_NO_PATH."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_scenario_args(p: argparse.ArgumentParser):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a builtin scenario")
@@ -31,7 +39,6 @@ def _add_scenario_args(p: argparse.ArgumentParser):
 def _add_planner_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time-limit", type=float, default=60.0, metavar="SECONDS")
-    p.add_argument("--workers", type=int, default=4)
 
 
 def _load_scenario(args) -> Scenario:
@@ -53,7 +60,7 @@ def _load_scenario(args) -> Scenario:
 
 
 def _make_planner(sc: Scenario, args) -> Planner:
-    config = PlannerConfig(t_max=args.time_limit, seed=args.seed, workers=args.workers)
+    config = PlannerConfig(t_max=args.time_limit, seed=args.seed)
     return Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, config)
 
 
@@ -128,7 +135,6 @@ def run_benchmark(
     trials: int,
     base_seed: int = 0,
     time_limit: float = 60.0,
-    workers: int = 4,
     keep_edges: bool = False,
 ) -> BenchResult:
     """Repeated solves with consecutive seeds; shared by the CLI and tests.
@@ -141,7 +147,7 @@ def run_benchmark(
     records = []
     for t in range(trials):
         seed = base_seed + t
-        config = PlannerConfig(t_max=time_limit, seed=seed, workers=workers)
+        config = PlannerConfig(t_max=time_limit, seed=seed)
         planner = Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, config)
         path = planner.find_path()
         tags = ()
@@ -181,7 +187,7 @@ def run_benchmark(
 
 def cmd_bench(args) -> int:
     sc = _load_scenario(args)
-    result = run_benchmark(sc, args.trials, args.seed, args.time_limit, args.workers)
+    result = run_benchmark(sc, args.trials, args.seed, args.time_limit)
     times = result.solved_times()
     mean = statistics.fmean(times) if times else float("nan")
     median = statistics.median(times) if times else float("nan")
@@ -227,7 +233,7 @@ def cmd_show(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posgraph",
         description="multi-action motion planning over walk, crawl and jump",
     )

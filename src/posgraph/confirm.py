@@ -1,16 +1,16 @@
 """Confirmation jobs: fine-grained gait sweeps and ballistic jump solves.
 
-Indeterminate edges pulled off candidate paths become resumable jobs. Workers
-execute jobs in bounded quanta (collision checks are the unit of work) and
-requeue unfinished jobs at the back, so short jobs never starve behind long
-ones. Verdicts accumulate until the planner drains them.
+Indeterminate edges pulled off candidate paths become resumable jobs. The
+planner runs them cooperatively, a few bounded quanta per cycle (collision
+checks are the unit of work), and requeues unfinished jobs at the back, so
+short jobs never starve behind long ones. Verdicts accumulate until the
+planner drains them.
 """
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,16 +145,6 @@ def solve_jump_bvp(p_launch: Pose, p_land: Pose, profile: RobotProfile) -> JumpT
     return JumpTrajectory(speed=speed, elevation=elevation, flight_time=T, points=points)
 
 
-def landing_support_pose(p_land: Pose, profile: RobotProfile) -> Pose:
-    """Where the crawl rectangle rests after touch-down.
-
-    The support footprint is the crawl rectangle centered on the touch-down
-    point and aligned with the flight heading, matching the footprint every
-    later crawl or stand-up check will use at that pose.
-    """
-    return Pose(p_land.x, p_land.y, p_land.theta, p_land.h)
-
-
 # ---------------------------------------------------------------------------
 # jobs
 
@@ -269,8 +259,8 @@ class JumpConfirmJob:
                 self._cursor += k
                 budget -= k
             else:
-                support = landing_support_pose(self.edge.pose_dst, prof)
-                ok = floor_solid(support, RectFootprint(prof.crawl_len, prof.crawl_wid), world)
+                # crawl rectangle centred on the touch-down point, aligned with the flight heading
+                ok = floor_solid(self.edge.pose_dst, RectFootprint(prof.crawl_len, prof.crawl_wid), world)
                 outcome = CONFIRMED if ok else REFUTED
                 return Verdict(self.job_id, self.edge, outcome, self._trajectory if ok else None)
         return None
@@ -296,20 +286,18 @@ def confirm_jump_edge(job: JumpConfirmJob, world: WorldModel) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# worker pool
+# scheduler
 
 
 class ConfirmationQueue:
     """FIFO of resumable jobs plus a verdict outbox.
 
-    Jobs run in quanta of at most `quantum` collision checks and go to the back
-    of the line when unfinished: with k pending jobs needing q quanta each, no
-    job waits more than k*q quanta. Worker threads and the cooperative step()
-    path share the same scheduling discipline.
+    step() runs jobs in quanta of at most `quantum` collision checks on the
+    calling thread and sends unfinished jobs to the back of the line: with k
+    pending jobs needing q quanta each, no job waits more than k*q quanta.
+    Given the submit order, the schedule is deterministic.
 
-    A job that raises ends the run with a ConfirmationError naming its edge:
-    step() raises it at once, and a worker thread hands it to the next
-    drain_verdicts() call.
+    A job that raises makes step() raise a ConfirmationError naming its edge.
     """
 
     def __init__(self, world: WorldModel, quantum: int = 1000):
@@ -317,108 +305,37 @@ class ConfirmationQueue:
         self.quantum = quantum
         self._pending: deque[ConfirmationJob] = deque()
         self._verdicts: list[Verdict] = []
-        self._failures: list[ConfirmationError] = []
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._threads: list[threading.Thread] = []
-        self._stop = False
         self._next_job_id = 0
 
     def submit(self, job: ConfirmationJob) -> int:
-        with self._cond:
-            job.job_id = self._next_job_id
-            self._next_job_id += 1
-            self._pending.append(job)
-            self._cond.notify()
-            return job.job_id
+        job.job_id = self._next_job_id
+        self._next_job_id += 1
+        self._pending.append(job)
+        return job.job_id
 
     def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
+        return len(self._pending)
 
     def step(self, max_quanta: int) -> int:
-        """Cooperatively run up to max_quanta quanta on the calling thread.
-
-        Deterministic given the submit order; this is what single-worker mode
-        uses instead of threads.
-        """
+        """Run up to max_quanta quanta; returns how many ran."""
         ran = 0
-        for _ in range(max_quanta):
-            with self._lock:
-                if not self._pending:
-                    break
-                job = self._pending.popleft()
-            verdict = self._run_quantum(job)
-            with self._lock:
-                if verdict is None:
-                    self._pending.append(job)
-                else:
-                    self._verdicts.append(verdict)
+        while ran < max_quanta and self._pending:
+            job = self._pending.popleft()
+            try:
+                verdict = job.step(self.quantum, self.world)
+            except Exception as exc:
+                raise ConfirmationError(
+                    f"confirmation job {job.job_id} for {job.edge.tag} edge {job.edge.edge_id} raised {exc!r}"
+                ) from exc
+            if verdict is None:
+                self._pending.append(job)
+            else:
+                self._verdicts.append(verdict)
             ran += 1
         return ran
 
-    def _worker(self):
-        while True:
-            with self._cond:
-                while not self._stop and not self._pending:
-                    self._cond.wait()
-                if self._stop:
-                    return
-                job = self._pending.popleft()
-            try:
-                verdict = self._run_quantum(job)
-            except ConfirmationError as exc:
-                with self._cond:
-                    self._failures.append(exc)
-                continue
-            with self._cond:
-                if verdict is None:
-                    self._pending.append(job)
-                    self._cond.notify()
-                else:
-                    self._verdicts.append(verdict)
-
-    def _run_quantum(self, job: ConfirmationJob) -> Verdict | None:
-        try:
-            return job.step(self.quantum, self.world)
-        except Exception as exc:
-            raise ConfirmationError(
-                f"confirmation job {job.job_id} for {job.edge.tag} edge {job.edge.edge_id} raised {exc!r}"
-            ) from exc
-
-    def launch(self, n_workers: int):
-        with self._lock:
-            self._stop = False
-        for _ in range(n_workers):
-            t = threading.Thread(target=self._worker, daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def shutdown(self):
-        """Stop workers; the quantum in flight finishes and lands its verdict."""
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-        for t in self._threads:
-            t.join()
-        self._threads.clear()
-
     def drain_verdicts(self) -> list[Verdict]:
-        """Collect and clear the verdicts so far; raises the first
-        ConfirmationError a worker thread caught."""
-        with self._lock:
-            if self._failures:
-                raise self._failures[0]
-            out = self._verdicts
-            self._verdicts = []
-            return out
-
-
-def run_workers(queue: ConfirmationQueue, n_workers: int):
-    """Start n worker threads over the queue."""
-    queue.launch(n_workers)
-
-
-def drain_verdicts(queue: ConfirmationQueue) -> list[Verdict]:
-    """Collect and clear all verdicts completed so far."""
-    return queue.drain_verdicts()
+        """Collect and clear the verdicts so far."""
+        out = self._verdicts
+        self._verdicts = []
+        return out

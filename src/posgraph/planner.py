@@ -4,8 +4,8 @@ Each cycle applies finished confirmation verdicts, lets every action perform
 queued posture transitions and grow toward one random target, broadcasts new
 vertices to the other actions, and then tries to extract and confirm a
 start-to-goal path. Indeterminate edges on a candidate path are pulled from
-the graph and handed to background jobs; the path is only returned once every
-edge on it is proven.
+the graph and handed to confirmation jobs, which run a few quanta at the start
+of every cycle; the path is only returned once every edge on it is proven.
 """
 from __future__ import annotations
 
@@ -44,11 +44,18 @@ class PlannerInputError(ValueError):
 
 @dataclass
 class PlannerConfig:
+    """Search budget and tuning knobs.
+
+    Confirmation jobs run on the planner's own thread, `quanta_per_cycle`
+    quanta per cycle. `workers` no longer has any effect; it is kept, and
+    still checked to be >= 1, so that existing callers keep working.
+    """
+
     t_max: float = 60.0
     max_transitions_per_cycle: int = 5
     goal_radius: float = 0.3
     seed: int = 0
-    workers: int = 4
+    workers: int = 1
     step: float = 0.3
     goal_bias: float = 0.1
     quanta_per_cycle: int = 8
@@ -477,50 +484,42 @@ class Planner:
     def find_path(self) -> PathResult | None:
         t0 = time.monotonic()
         self._init_endpoints()
-        threaded = self.config.workers >= 2
-        if threaded:
-            self.queue.launch(self.config.workers)
-        try:
-            n = 0
-            deadline = t0 + self.config.t_max
-            while time.monotonic() < deadline:
-                n += 1
-                self.stats.cycles = n
-                self.events.append(f"CYCLE {n}")
-                # condition memos live for one cycle: repeats cluster within
-                # a cycle, and unbounded memos cost memory on long solves
-                for action in self.actions:
-                    action.clear_memos()
-                if not threaded:
-                    self.queue.step(self.config.quanta_per_cycle)
-                self._apply_verdicts()
-                for action in self.actions:
-                    if time.monotonic() >= deadline:
-                        break
-                    new_ids = self.perform_transitions(action)
-                    if new_ids:
-                        self.events.append(f"TRANS {action.tag} {len(new_ids)}")
-                    target = self._sample_target()
-                    if isinstance(action, GaitAction):
-                        grown = self.grow_holonomic(action, target)
-                    else:
-                        grown = self.grow_nonholonomic(action, target)
-                    new_ids += grown
-                    self.events.append(f"GROW {action.tag} {len(grown)}")
-                    self._broadcast(action, new_ids)
-                    self._link_goals(new_ids)
-                for gid in self.graph.goal_ids:
-                    if not self.graph.connected(self.graph.start_id, gid):
-                        continue
-                    path = self.graph.shortest_path(self.graph.start_id, gid)
-                    if path is not None and self.confirm_path(path):
-                        self.stats.elapsed = time.monotonic() - t0
-                        return path
-            self.stats.elapsed = time.monotonic() - t0
-            return None
-        finally:
-            if threaded:
-                self.queue.shutdown()
+        n = 0
+        deadline = t0 + self.config.t_max
+        while time.monotonic() < deadline:
+            n += 1
+            self.stats.cycles = n
+            self.events.append(f"CYCLE {n}")
+            # condition memos live for one cycle: repeats cluster within
+            # a cycle, and unbounded memos cost memory on long solves
+            for action in self.actions:
+                action.clear_memos()
+            self.queue.step(self.config.quanta_per_cycle)
+            self._apply_verdicts()
+            for action in self.actions:
+                if time.monotonic() >= deadline:
+                    break
+                new_ids = self.perform_transitions(action)
+                if new_ids:
+                    self.events.append(f"TRANS {action.tag} {len(new_ids)}")
+                target = self._sample_target()
+                if isinstance(action, GaitAction):
+                    grown = self.grow_holonomic(action, target)
+                else:
+                    grown = self.grow_nonholonomic(action, target)
+                new_ids += grown
+                self.events.append(f"GROW {action.tag} {len(grown)}")
+                self._broadcast(action, new_ids)
+                self._link_goals(new_ids)
+            for gid in self.graph.goal_ids:
+                if not self.graph.connected(self.graph.start_id, gid):
+                    continue
+                path = self.graph.shortest_path(self.graph.start_id, gid)
+                if path is not None and self.confirm_path(path):
+                    self.stats.elapsed = time.monotonic() - t0
+                    return path
+        self.stats.elapsed = time.monotonic() - t0
+        return None
 
     # -- reporting --------------------------------------------------------
 

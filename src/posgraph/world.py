@@ -253,7 +253,7 @@ class WorldModel:
     def band(self, z_band: tuple[float, float]) -> _Band:
         """Obstacles strictly overlapping the z band, filtered once per band."""
         band = self._bands.get(z_band)
-        if band is None:  # threads racing here build equal values
+        if band is None:
             zlo, zhi = z_band
             sel = self._obs[(self._obs[:, 4] < zhi) & (self._obs[:, 5] > zlo)][:, 0:4]
             boxes = tuple(tuple(map(float, row)) for row in sel)

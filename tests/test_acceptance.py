@@ -1,9 +1,9 @@
 """End-to-end gate: benchmark matrix, route structure, property oracles.
 
 Eight checks, each printing one PASS/FAIL summary line to the terminal. The
-benchmark matrix (8 scenario/action combos x 50 seeded trials, 60 s limit,
-4 workers) runs once and is shared by the checks that need it; everything
-else carries its own oracle.
+benchmark matrix (8 scenario/action combos x 50 seeded trials, 60 s limit)
+runs once and is shared by the checks that need it; everything else carries
+its own oracle.
 """
 import dataclasses
 import hashlib
@@ -55,7 +55,6 @@ MATRIX = (
 )
 TRIALS = 50
 TIME_LIMIT = 60.0
-WORKERS = 4
 OK_STATUSES = ("sufficient-confirmed", "job-confirmed")
 
 SHORT = {
@@ -83,7 +82,7 @@ def matrix():
     for name, acts in MATRIX:
         sc = scenario_with_actions(name, acts)
         results[(name, acts)] = run_benchmark(
-            sc, TRIALS, base_seed=0, time_limit=TIME_LIMIT, workers=WORKERS, keep_edges=True
+            sc, TRIALS, base_seed=0, time_limit=TIME_LIMIT, keep_edges=True
         )
     return SimpleNamespace(results=results, wall=time.monotonic() - t0)
 
@@ -187,7 +186,7 @@ def test_jumpless_runs_time_out_and_grid_oracle_agrees(capfd):
             rc = main(
                 [
                     "solve", "--builtin", name, "--actions", "walk,crawl",
-                    "--seed", str(t), "--time-limit", "10", "--workers", "4",
+                    "--seed", str(t), "--time-limit", "10",
                 ]
             )
             timeouts += rc == EXIT_NO_PATH
@@ -351,7 +350,7 @@ def test_single_worker_runs_are_byte_identical(matrix, capfd):
     sc = builtin_scenario("three_routes_c")
     outs = []
     for _ in range(5):
-        config = PlannerConfig(t_max=TIME_LIMIT, seed=11, workers=1)
+        config = PlannerConfig(t_max=TIME_LIMIT, seed=11)
         pl = Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, config)
         path = pl.find_path()
         assert path is not None
@@ -369,8 +368,8 @@ def test_single_worker_runs_are_byte_identical(matrix, capfd):
     ok = identical and statuses_ok
     line = emit(
         capfd, ok, "7 (determinism)",
-        f"5 single-worker runs byte-identical: {identical};"
-        f" 4-worker solution edges all confirmed: {statuses_ok}",
+        f"5 seed-11 runs byte-identical: {identical};"
+        f" matrix solution edges all confirmed: {statuses_ok}",
     )
     assert ok, line
 
@@ -406,13 +405,9 @@ def test_one_worker_finishes_short_jobs_before_long(capfd):
     q.submit(CountingJob(10, log, "long"))
     for i in range(10):
         q.submit(CountingJob(1, log, f"short{i}"))
-    q.launch(1)
-    deadline = time.monotonic() + 10.0
-    verdicts = []
-    while len(verdicts) < 11 and time.monotonic() < deadline:
-        verdicts.extend(q.drain_verdicts())
-        time.sleep(0.01)
-    q.shutdown()
+    while q.pending_count():
+        q.step(1)
+    verdicts = q.drain_verdicts()
     shorts_first = log[-1:] == ["long"] and sorted(log[:10]) == [f"short{i}" for i in range(10)]
     ok = len(verdicts) == 11 and shorts_first
     line = emit(

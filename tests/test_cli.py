@@ -28,13 +28,12 @@ def small_scenario_file(tmp_path, **extra):
 def solve_args(path, *more):
     return [
         "solve", "--scenario", str(path), "--seed", "0",
-        "--workers", "1", "--time-limit", "30", *more,
+        "--time-limit", "30", *more,
     ]
 
 
 def test_solve_builtin_exits_zero(capsys):
-    rc = main(["solve", "--builtin", "three_routes_a", "--actions", "walk",
-               "--workers", "1", "--time-limit", "30"])
+    rc = main(["solve", "--builtin", "three_routes_a", "--actions", "walk", "--time-limit", "30"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "three_routes_a: solved" in out
@@ -86,7 +85,7 @@ def test_solve_timeout_exits_two(tmp_path, capsys):
         tmp_path,
         obstacles=[{"x": [2.8, 3.2], "y": [0, 4], "z": [0, 2.2]}],
     )
-    rc = main(["solve", "--scenario", str(scn), "--workers", "1", "--time-limit", "2"])
+    rc = main(["solve", "--scenario", str(scn), "--time-limit", "2"])
     assert rc == EXIT_NO_PATH
     assert "no path found within 2.0s" in capsys.readouterr().out
 
@@ -128,7 +127,7 @@ def test_bench_table_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "runs.csv"
     argv = [
         "bench", "--scenario", str(scn), "--trials", "3", "--seed", "7",
-        "--workers", "1", "--time-limit", "30", "--csv", str(csv_path),
+        "--time-limit", "30", "--csv", str(csv_path),
     ]
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
@@ -150,7 +149,7 @@ def test_bench_table_and_csv(tmp_path, capsys):
 
 def test_run_benchmark_keep_edges_snapshots():
     sc = builtin_scenario("three_routes_a")
-    res = run_benchmark(sc, trials=2, base_seed=0, time_limit=30.0, workers=1, keep_edges=True)
+    res = run_benchmark(sc, trials=2, base_seed=0, time_limit=30.0, keep_edges=True)
     assert res.successes == 2
     for r in res.records:
         assert r.tags and len(r.edges) == len(r.tags)
@@ -159,10 +158,25 @@ def test_run_benchmark_keep_edges_snapshots():
             assert snap.tag == r.tags[r.edges.index((snap, status))]
 
 
-def test_missing_required_args_exit_usage_error():
+def test_missing_required_args_exit_usage_error(capsys):
+    for argv in (
+        ["solve"],
+        ["solve", "--builtin", "nope"],
+        ["solve", "--builtin", "hallway", "--seed", "abc"],
+        ["solve", "--builtin", "hallway", "--workers", "4"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT, argv  # usage failure is bad input, not EXIT_NO_PATH
+        err = capsys.readouterr().err
+        assert err.startswith("usage: posgraph") and "error:" in err, argv
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["solve"])
-    assert exc.value.code == 2  # argparse usage failure, distinct from our codes
+        main(["solve", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--time-limit" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("grid", [5, [-0.2]])

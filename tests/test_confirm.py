@@ -26,7 +26,6 @@ from posgraph.confirm import (
     Verdict,
     confirm_gait_edge,
     confirm_jump_edge,
-    landing_support_pose,
 )
 
 GRAVITY = 9.81
@@ -152,11 +151,6 @@ def test_trajectory_physics(profile):
         s = math.hypot(x - launch.x, y - launch.y)
         t = s / vh
         assert z == pytest.approx(launch.h + vz * t - 0.5 * GRAVITY * t * t, abs=1e-9)
-
-
-def test_landing_support_is_centered_on_touchdown(profile):
-    p = Pose(4.2, 1.1, 0.7, 0.3)
-    assert landing_support_pose(p, profile) == p
 
 
 # -- gait jobs ------------------------------------------------------------
@@ -297,18 +291,14 @@ def test_submit_assigns_increasing_job_ids(open_world):
     assert ids == [0, 1, 2, 3]
 
 
-def test_worker_threads_complete_real_jobs(profile):
+def test_queue_step_completes_real_jobs(profile):
     w = WorldModel((0, 10), (0, 8), [Box((4.4, 4.6), (0, 8), (0, 2.2))], [])
     q = ConfirmationQueue(w)
     q.submit(gait_job(w, profile, "walk", Pose(1, 2, 0, 1.0), Pose(8, 2, 0, 1.0)))
     q.submit(gait_job(w, profile, "walk", Pose(1, 6, 0, 1.0), Pose(3, 6, 0, 1.0)))
-    q.launch(2)
-    deadline = time.monotonic() + 10.0
-    got = []
-    while len(got) < 2 and time.monotonic() < deadline:
-        got.extend(q.drain_verdicts())
-        time.sleep(0.01)
-    q.shutdown()
+    while q.pending_count():
+        q.step(1)
+    got = q.drain_verdicts()
     assert len(got) == 2
     outcomes = {v.edge.pose_src.y: v.outcome for v in got}
     assert outcomes == {2.0: REFUTED, 6.0: CONFIRMED}
@@ -326,29 +316,12 @@ class RaisingJob:
 def test_raising_job_fails_the_cooperative_step(open_world):
     q = ConfirmationQueue(open_world)
     q.submit(RaisingJob(7))
-    with pytest.raises(ConfirmationError, match="jump edge 7 raised ZeroDivisionError"):
+    with pytest.raises(ConfirmationError, match="jump edge 7 raised ZeroDivisionError") as info:
         q.step(1)
-
-
-def test_raising_job_in_a_worker_thread_surfaces_on_drain(open_world):
-    q = ConfirmationQueue(open_world)
-    q.submit(FakeJob(1, [], "ok"))
-    q.submit(RaisingJob(7))
-    q.launch(2)
-    deadline = time.monotonic() + 10.0
-    try:
-        with pytest.raises(ConfirmationError, match="edge 7") as info:
-            while time.monotonic() < deadline:
-                q.drain_verdicts()
-                time.sleep(0.01)
-    finally:
-        q.shutdown()
     assert isinstance(info.value.__cause__, ZeroDivisionError)
-    with pytest.raises(ConfirmationError):
-        q.drain_verdicts()  # the failure stays until the run ends
 
 
-def test_threaded_solve_fails_fast_when_a_job_raises(monkeypatch):
+def test_solve_fails_fast_when_a_job_raises(monkeypatch):
     from posgraph import Planner, PlannerConfig, builtin_scenario
 
     def boom(self, budget, world):
@@ -356,9 +329,8 @@ def test_threaded_solve_fails_fast_when_a_job_raises(monkeypatch):
 
     monkeypatch.setattr(JumpConfirmJob, "step", boom)
     sc = builtin_scenario("double_jump")
-    planner = Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, PlannerConfig(t_max=60.0, seed=0, workers=2))
+    planner = Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, PlannerConfig(t_max=60.0, seed=0))
     t0 = time.monotonic()
     with pytest.raises(ConfirmationError, match=r"jump edge \d+ raised RuntimeError\('solver crashed'\)"):
         planner.find_path()
     assert time.monotonic() - t0 < 30.0
-    assert not any(t.is_alive() for t in planner.queue._threads)

@@ -1,6 +1,7 @@
 """Recorded digests of seed-0 builtin solves: a determinism check that spans
 commits. A change that alters the graph dump or the event log of any builtin
-at workers=1 fails here, even if every other test still passes."""
+with a fixed seed fails here, even if every other test still passes. The
+digests hold for the library and for a CLI solve with default flags alike."""
 import hashlib
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from posgraph import BUILTIN_NAMES, Planner, PlannerConfig, builtin_scenario
+from posgraph.cli import EXIT_OK, main
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_builtins_seed0.json").read_text())["sha256"]
 
@@ -19,7 +21,15 @@ def test_golden_covers_every_builtin():
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_seed0_solve_reproduces_recorded_digest(name):
     sc = builtin_scenario(name)
-    planner = Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, PlannerConfig(t_max=60.0, seed=0, workers=1))
+    planner = Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, PlannerConfig(t_max=60.0, seed=0))
     assert planner.find_path() is not None
     text = planner.graph.dump() + planner.event_log()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_default_flag_cli_solve_reproduces_recorded_digest(name, tmp_path, capsys):
+    dump, log = tmp_path / "graph.txt", tmp_path / "events.log"
+    assert main(["solve", "--builtin", name, "--seed", "0", "--dump", str(dump), "--log", str(log)]) == EXIT_OK
+    text = dump.read_text() + log.read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]

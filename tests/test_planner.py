@@ -18,7 +18,6 @@ from posgraph.graph import TAG_CRAWL, TAG_JUMP, TAG_TRANSITION, TAG_WALK
 
 
 def make_planner(world, profile, start, goal, actions, **cfg):
-    cfg.setdefault("workers", 1)
     cfg.setdefault("seed", 0)
     return Planner(world, profile, start, [goal], actions, PlannerConfig(**cfg))
 

@@ -172,7 +172,7 @@ def test_endpoints_valid_in_their_worlds():
 
     for name in BUILTIN_NAMES:
         s = builtin_scenario(name)
-        pl = Planner(s.world, s.profile, s.start, list(s.goals), s.actions, PlannerConfig(workers=1))
+        pl = Planner(s.world, s.profile, s.start, list(s.goals), s.actions, PlannerConfig())
         pl._init_endpoints()  # raises if any endpoint fails its manifold
 
 
