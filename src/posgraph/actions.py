@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from . import confirm
 from .graph import TAG_CRAWL, TAG_JUMP, TAG_TRANSITION, TAG_WALK, TagChecks
@@ -25,16 +24,11 @@ from .world import (
     floor_point_solid,
     floor_solid,
     interpolate_poses,
-    normalize_angle,
     parabola_clear,
     sweep_steps,
     swept_clear,
     volume_clear,
 )
-
-KIND_HOLONOMIC = "holonomic"
-KIND_NONHOLONOMIC = "nonholonomic"
-
 
 class TransitionQueue:
     """Vertices offered to an action for posture transitions.
@@ -80,13 +74,10 @@ def transition_feasible(pose: Pose, profile: RobotProfile, world: WorldModel) ->
 class GaitAction:
     """A holonomic gait (walk or crawl) tied to one posture band."""
 
-    kind = KIND_HOLONOMIC
-
     def __init__(self, tag: str, profile: RobotProfile, world: WorldModel, step: float = 0.3):
         if tag not in (TAG_WALK, TAG_CRAWL):
             raise ValueError(f"gait tag must be walk or crawl, got {tag!r}")
         self.tag = tag
-        self.name = tag
         self.profile = profile
         self.world = world
         self.step = step
@@ -167,6 +158,7 @@ class GaitAction:
             return False
         n = sweep_steps(p0, p1, self.sufficient_volume, self.profile.res)
         xs, ys, ths, _ = interpolate_poses(p0, p1, n)
+        # imported per call: perfbench/tracer.py patches this name on world and confirm only
         from .world import _volume_clear_batch
 
         if not _volume_clear_batch(xs, ys, ths, self.sweep_volume, self.world):
@@ -239,9 +231,7 @@ class JumpAction:
     the sufficient condition is constantly false.
     """
 
-    kind = KIND_NONHOLONOMIC
     tag = TAG_JUMP
-    name = TAG_JUMP
 
     def __init__(self, profile: RobotProfile, world: WorldModel, walk: GaitAction, crawl: GaitAction):
         self.profile = profile
@@ -320,9 +310,6 @@ class JumpAction:
         dy = v.y - target.y
         th = v.theta if math.hypot(dx, dy) < 1e-12 else math.atan2(dy, dx)
         return Pose(v.x, v.y, th, self.profile.h_crawl)
-
-    def project(self, pose: Pose) -> Pose:
-        return pose
 
     def transition_from(self, pose: Pose) -> Pose | None:
         """Jumping is not a posture one transitions into; always None."""

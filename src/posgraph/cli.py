@@ -156,21 +156,9 @@ def run_benchmark(
             g = planner.graph
             tags = tuple(g.edges[eid].tag for eid in path.edge_ids)
             if keep_edges:
-                pairs = []
-                for eid in path.edge_ids:
-                    e = g.edges[eid]
-                    snap = EdgeSnapshot(
-                        edge_id=e.id,
-                        tag=e.tag,
-                        src=e.src,
-                        dst=e.dst,
-                        pose_src=g.vertices[e.src].pose,
-                        pose_dst=g.vertices[e.dst].pose,
-                        cost=e.cost,
-                        apex=e.apex,
-                    )
-                    pairs.append((snap, e.status.value))
-                edges = tuple(pairs)
+                edges = tuple(
+                    (EdgeSnapshot.of_edge(g, g.edges[eid]), g.edges[eid].status.value) for eid in path.edge_ids
+                )
         records.append(
             TrialRecord(
                 trial=t,

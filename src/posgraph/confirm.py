@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .world import (
     interpolate_poses,
     sweep_steps,
 )
+
+if TYPE_CHECKING:
+    from .graph import EdgeRecord, PossibilityGraph
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -48,6 +52,11 @@ class EdgeSnapshot:
     pose_dst: Pose
     cost: float
     apex: float | None = None
+
+    @classmethod
+    def of_edge(cls, graph: PossibilityGraph, e: EdgeRecord) -> EdgeSnapshot:
+        """Snapshot a live graph edge with its endpoint poses."""
+        return cls(e.id, e.tag, e.src, e.dst, graph.vertices[e.src].pose, graph.vertices[e.dst].pose, e.cost, e.apex)
 
 
 @dataclass(frozen=True)
@@ -269,20 +278,15 @@ class JumpConfirmJob:
 ConfirmationJob = GaitConfirmJob | JumpConfirmJob
 
 
-def confirm_gait_edge(job: GaitConfirmJob, world: WorldModel) -> Verdict:
-    """Run a gait job to completion synchronously."""
+def run_to_verdict(job: ConfirmationJob, world: WorldModel) -> Verdict:
+    """Run a gait or jump job to completion synchronously."""
     while True:
         v = job.step(1_000_000_000, world)
         if v is not None:
             return v
 
 
-def confirm_jump_edge(job: JumpConfirmJob, world: WorldModel) -> Verdict:
-    """Run a jump job to completion synchronously."""
-    while True:
-        v = job.step(1_000_000_000, world)
-        if v is not None:
-            return v
+confirm_gait_edge = confirm_jump_edge = run_to_verdict
 
 
 # ---------------------------------------------------------------------------

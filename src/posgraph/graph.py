@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -38,7 +38,7 @@ class EdgeStatus(str, Enum):
 
 
 class ConditionViolation(RuntimeError):
-    """Raised when an insertion fails the re-asserted necessary condition."""
+    """Raised when a vertex insertion fails the re-asserted necessary condition."""
 
 
 @dataclass
@@ -240,10 +240,14 @@ class PossibilityGraph:
         apex: float | None = None,
         cost: float | None = None,
     ) -> list[int]:
-        """Insert a directed edge (and its twin when bidirectional).
+        """Insert a directed edge (and its twin when bidirectional); the one
+        place that decides whether an edge enters the graph.
 
-        Registry hits are skipped silently and return an empty list. A failed
-        necessary-condition re-check raises: the caller was supposed to verify.
+        Returns the new edge ids, or an empty list when the quantized key is
+        refuted, pending or live, or when the stored endpoint poses fail the
+        tag's necessary condition. Vertex dedup can snap an intended pose onto
+        an existing vertex whose heading differs, so the condition is judged
+        on what the graph actually holds.
         """
         if tag not in EDGE_TAGS:
             raise ValueError(f"unknown edge tag {tag!r}")
@@ -255,7 +259,7 @@ class PossibilityGraph:
             return []
         chk = self.checks.get(tag)
         if chk and chk.edge and not chk.edge(p0, p1):
-            raise ConditionViolation(f"edge fails necessary condition for {tag!r}: {p0} -> {p1}")
+            return []
         c = self._edge_cost(p0, p1, tag) if cost is None else cost
         ids = [self._add_one(src, dst, tag, status, c, apex)]
         if bidirectional:

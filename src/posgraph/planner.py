@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import confirm as confirm_mod
 from .actions import Action, GaitAction, JumpAction, build_actions, graph_checks
@@ -146,32 +146,6 @@ class Planner:
             for vid in new_ids:
                 a.queue.add(vid)
 
-    def _try_edge(
-        self,
-        action_tag: str,
-        src: int,
-        dst: int,
-        status: EdgeStatus,
-        bidirectional: bool,
-        apex: float | None = None,
-        cost: float | None = None,
-    ) -> list[int]:
-        """Insert an edge after re-checking against the stored endpoint poses.
-
-        Vertex dedup can snap an intended pose onto an existing vertex whose
-        heading differs, so the necessary condition must be judged on what the
-        graph actually holds.
-        """
-        g = self.graph
-        p0 = g.vertices[src].pose
-        p1 = g.vertices[dst].pose
-        if g.edge_blocked(action_tag, p0, p1):
-            return []
-        chk = g.checks.get(action_tag)
-        if chk and chk.edge and not chk.edge(p0, p1):
-            return []
-        return g.insert_edge(src, dst, action_tag, status, bidirectional, apex=apex, cost=cost)
-
     def perform_transitions(self, action: Action) -> list[int]:
         """Pop up to the per-cycle cap of queued foreign vertices and try to
         transition from each onto this action's manifold."""
@@ -191,8 +165,7 @@ class Planner:
             dest = self.graph.insert_vertex(cand, action.tag)
             if dest == vid:
                 continue
-            added = self._try_edge(TAG_TRANSITION, vid, dest, EdgeStatus.SUFFICIENT, True)
-            if not added:
+            if not self.graph.insert_edge(vid, dest, TAG_TRANSITION, EdgeStatus.SUFFICIENT, True):
                 continue
             if dest >= before:
                 new_ids.append(dest)
@@ -234,15 +207,7 @@ class Planner:
             if vid == last_id:
                 break
             if not g.edge_live(action.tag, last_pose, stored):
-                if g.edge_blocked(action.tag, last_pose, stored):
-                    break
-                status = (
-                    EdgeStatus.SUFFICIENT
-                    if action.sufficient_edge(last_pose, stored)
-                    else EdgeStatus.INDETERMINATE
-                )
-                added = self._try_edge(action.tag, last_id, vid, status, True)
-                if not added:
+                if not g.insert_edge(last_id, vid, action.tag, self._gait_status(action.tag, last_id, vid), True):
                     break
                 if vid >= before:
                     new_ids.append(vid)
@@ -312,54 +277,43 @@ class Planner:
             if not useful.get(vid, False):
                 continue
             v = g.vertices[vid]
+            # the near end sits at vid, on vid's manifold; the far end is
+            # planted across the gap on the other one
             if v.tag == TAG_WALK and vid not in goal_set:
-                launch = action.find_launch_point(v.pose, target)
-                landing = action.extend_towards(launch, target)
-                if not segment_crosses_gap(self.world, launch.x, launch.y, landing.x, landing.y):
-                    continue
-                apex = action.edge_apex(launch, landing)
-                if apex is None or g.edge_blocked(TAG_JUMP, launch, landing):
-                    continue
-                before = g._next_vid
-                launch_id = g.insert_vertex(launch, TAG_WALK)
-                if launch_id != vid:
-                    if not self._try_edge(TAG_WALK, vid, launch_id, self._gait_status(TAG_WALK, vid, launch_id), True):
-                        continue
-                    if launch_id >= before:
-                        new_ids.append(launch_id)
-                before = g._next_vid
-                landing_id = g.insert_vertex(landing, TAG_CRAWL)
-                if not self._try_edge(TAG_JUMP, launch_id, landing_id, EdgeStatus.INDETERMINATE, False, apex=apex):
-                    continue
-                if landing_id >= before:
-                    new_ids.append(landing_id)
-                    self._snap_link(landing_id)
-                for u in g._bfs([launch_id], g._in, False):
-                    useful[u] = False
+                launching, far_tag = True, TAG_CRAWL
+                near = action.find_launch_point(v.pose, target)
+                far = action.extend_towards(near, target)
             elif v.tag == TAG_CRAWL and vid not in start_set:
-                landing = action.find_landing_point(v.pose, target)
-                launch = action.reverse_extend(landing, target)
-                if not segment_crosses_gap(self.world, launch.x, launch.y, landing.x, landing.y):
+                launching, far_tag = False, TAG_WALK
+                near = action.find_landing_point(v.pose, target)
+                far = action.reverse_extend(near, target)
+            else:
+                continue
+            launch, landing = (near, far) if launching else (far, near)
+            if not segment_crosses_gap(self.world, launch.x, launch.y, landing.x, landing.y):
+                continue
+            apex = action.edge_apex(launch, landing)
+            if apex is None or g.edge_blocked(TAG_JUMP, launch, landing):
+                continue
+            before = g._next_vid
+            near_id = g.insert_vertex(near, v.tag)
+            if near_id != vid:
+                if not g.insert_edge(vid, near_id, v.tag, self._gait_status(v.tag, vid, near_id), True):
                     continue
-                apex = action.edge_apex(launch, landing)
-                if apex is None or g.edge_blocked(TAG_JUMP, launch, landing):
-                    continue
-                before = g._next_vid
-                landing_id = g.insert_vertex(landing, TAG_CRAWL)
-                if landing_id != vid:
-                    if not self._try_edge(TAG_CRAWL, vid, landing_id, self._gait_status(TAG_CRAWL, vid, landing_id), True):
-                        continue
-                    if landing_id >= before:
-                        new_ids.append(landing_id)
-                before = g._next_vid
-                launch_id = g.insert_vertex(launch, TAG_WALK)
-                if not self._try_edge(TAG_JUMP, launch_id, landing_id, EdgeStatus.INDETERMINATE, False, apex=apex):
-                    continue
-                if launch_id >= before:
-                    new_ids.append(launch_id)
-                    self._snap_link(launch_id)
-                for u in g._bfs([landing_id], g._out, True):
-                    useful[u] = False
+                if near_id >= before:
+                    new_ids.append(near_id)
+            before = g._next_vid
+            far_id = g.insert_vertex(far, far_tag)
+            launch_id, landing_id = (near_id, far_id) if launching else (far_id, near_id)
+            if not g.insert_edge(launch_id, landing_id, TAG_JUMP, EdgeStatus.INDETERMINATE, False, apex=apex):
+                continue
+            if far_id >= before:
+                new_ids.append(far_id)
+                self._snap_link(far_id)
+            # mask what lies behind the near end: the vertices that reach the
+            # launch, or that the landing reaches
+            for u in g._bfs([near_id], g._in if launching else g._out, not launching):
+                useful[u] = False
         return new_ids
 
     def _snap_link(self, vid: int):
@@ -370,7 +324,7 @@ class Planner:
         for nb in g.nearest_vertices(v.tag, v.pose, k=4, max_dist=0.45, weights=(1.0, 1.0, 0.0, 1.0)):
             if nb == vid:
                 continue
-            self._try_edge(v.tag, vid, nb, self._gait_status(v.tag, vid, nb), True)
+            g.insert_edge(vid, nb, v.tag, self._gait_status(v.tag, vid, nb), True)
 
     def _sample_target(self) -> Pose:
         """Uniform sample over the world, occasionally biased to a goal so
@@ -400,7 +354,7 @@ class Planner:
                     continue
                 if math.hypot(gv.pose.x - v.pose.x, gv.pose.y - v.pose.y) > self.config.goal_radius:
                     continue
-                self._try_edge(v.tag, vid, gid, self._gait_status(v.tag, vid, gid), True, cost=0.0)
+                g.insert_edge(vid, gid, v.tag, self._gait_status(v.tag, vid, gid), True, cost=0.0)
 
     # -- confirmation -----------------------------------------------------
 
@@ -420,15 +374,10 @@ class Planner:
                 continue
             if e.status in (EdgeStatus.SUFFICIENT, EdgeStatus.JOB_CONFIRMED):
                 continue
+            # transition edges are always inserted as sufficient, so only gait
+            # and jump edges get here
             p0 = g.vertices[e.src].pose
             p1 = g.vertices[e.dst].pose
-            if e.tag == TAG_TRANSITION:
-                # the transition check is itself sufficient and the world is
-                # static, so surviving insertion means proven
-                e.status = EdgeStatus.SUFFICIENT
-                if e.twin is not None and e.twin in g.edges:
-                    g.edges[e.twin].status = EdgeStatus.SUFFICIENT
-                continue
             action = self.actions_by_tag[e.tag]
             if action.sufficient_edge(p0, p1):
                 e.status = EdgeStatus.SUFFICIENT
@@ -437,16 +386,7 @@ class Planner:
                 continue
             all_ok = False
             bidir = e.tag != TAG_JUMP
-            snapshot = EdgeSnapshot(
-                edge_id=e.id,
-                tag=e.tag,
-                src=e.src,
-                dst=e.dst,
-                pose_src=p0,
-                pose_dst=p1,
-                cost=e.cost,
-                apex=e.apex,
-            )
+            snapshot = EdgeSnapshot.of_edge(g, e)
             if action.necessary_edge(p0, p1):
                 g.mark_pending(e.tag, p0, p1, both_directions=bidir)
                 g.remove_edge(eid, register=False)
@@ -463,14 +403,8 @@ class Planner:
             self.graph.clear_pending(snap.tag, snap.pose_src, snap.pose_dst, both_directions=bidir)
             if v.outcome == CONFIRMED:
                 self.stats.jobs_confirmed += 1
-                ids = self._try_edge(
-                    snap.tag,
-                    snap.src,
-                    snap.dst,
-                    EdgeStatus.JOB_CONFIRMED,
-                    bidir,
-                    apex=snap.apex,
-                    cost=snap.cost,
+                ids = self.graph.insert_edge(
+                    snap.src, snap.dst, snap.tag, EdgeStatus.JOB_CONFIRMED, bidir, apex=snap.apex, cost=snap.cost
                 )
                 if ids and v.trajectory is not None:
                     self.trajectories[ids[0]] = v.trajectory

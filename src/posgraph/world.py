@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -169,6 +169,15 @@ class RobotProfile:
 
     def __post_init__(self):
         self.apex_grid = _apex_grid(self.apex_grid)
+        for f in fields(self):
+            if f.name == "apex_grid":
+                continue
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ValueError(f"profile {f.name} must be a finite number, got {v!r}")
+        for name in _POSITIVE_FIELDS:
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"profile {name} must be > 0")
         if not 0.0 < self.h_crawl < self.h_walk:
             raise ValueError("profile requires 0 < h_crawl < h_walk")
         if self.h_crawl + self.delta_crawl >= self.h_walk - self.delta_walk:
@@ -179,10 +188,13 @@ class RobotProfile:
             raise ValueError("profile r_necessary must be smaller than half the crawl width")
         if self.jump_range_max > self.v_max ** 2 / self.g + 1e-9:
             raise ValueError("profile jump_range_max exceeds the level-ground ballistic range v_max^2/g")
-        if self.res <= 0.0:
-            raise ValueError("profile res must be > 0")
         if not 0.0 <= self.jump_angle_min < self.jump_angle_max < 0.5 * math.pi:
             raise ValueError("profile jump angle window must satisfy 0 <= min < max < pi/2")
+
+
+# a zero or negative stride never ends the foothold loop of a gait
+# confirmation job, and the others divide or scale sweeps and flights
+_POSITIVE_FIELDS = ("stride", "res", "r_jump", "v_max", "g")
 
 
 def _apex_grid(grid) -> tuple[float, ...]:

@@ -1,10 +1,11 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 import csv
 import json
+import time
 
 import pytest
 
-from posgraph import scenario_from_json
+from posgraph import emit_scenario, scenario_from_json
 from posgraph.cli import EXIT_INPUT, EXIT_NO_PATH, EXIT_OK, main, run_benchmark
 from posgraph.scenarios import builtin_scenario
 
@@ -192,4 +193,20 @@ def test_bad_apex_grid_exits_one_without_traceback(tmp_path, capsys, grid):
     assert main(solve_args(scn)) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: profile: profile apex_grid")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("stride", 0), ("stride", -0.4), ("res", float("inf")), ("r_jump", float("nan"))])
+def test_bad_profile_number_exits_one_at_once(tmp_path, capsys, field, value):
+    # three_routes_b spawns gait confirmation jobs, whose foothold loop never
+    # ended on a stride <= 0; json writes inf and nan as Infinity and NaN
+    data = emit_scenario(builtin_scenario("three_routes_b"))
+    data["profile"][field] = value
+    scn = tmp_path / "bad_profile.json"
+    scn.write_text(json.dumps(data))
+    t0 = time.monotonic()
+    assert main(["solve", "--scenario", str(scn), "--seed", "0", "--time-limit", "5"]) == EXIT_INPUT
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: profile: profile {field} must be")
     assert "Traceback" not in err

@@ -27,6 +27,7 @@ from posgraph.confirm import (
     confirm_gait_edge,
     confirm_jump_edge,
 )
+from posgraph.graph import EdgeStatus, PossibilityGraph
 
 GRAVITY = 9.81
 
@@ -170,6 +171,15 @@ def test_gait_job_confirms_clear_corridor(open_world, profile):
     v = confirm_gait_edge(job, open_world)
     assert v.outcome == CONFIRMED
     assert v.edge.tag == "walk"
+
+
+def test_snapshot_of_graph_edge_copies_endpoint_poses():
+    g = PossibilityGraph()
+    p0, p1 = Pose(1, 2, 0.5, 1.0), Pose(3, 2, 0.0, 0.3)
+    a, b = g.insert_vertex(p0, "walk"), g.insert_vertex(p1, "crawl")
+    (eid,) = g.insert_edge(a, b, "jump", EdgeStatus.INDETERMINATE, False, apex=0.4)
+    e = g.edges[eid]
+    assert EdgeSnapshot.of_edge(g, e) == EdgeSnapshot(eid, "jump", a, b, p0, p1, e.cost, 0.4)
 
 
 def test_gait_job_refutes_blocked_corridor(profile):

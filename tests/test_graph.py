@@ -173,8 +173,9 @@ def test_insert_edge_reasserts_condition():
     g = PossibilityGraph(checks=checks)
     a = g.insert_vertex(Pose(0, 0, 0, 1.0), TAG_WALK)
     b = g.insert_vertex(Pose(2, 0, 0, 1.0), TAG_WALK)
-    with pytest.raises(ConditionViolation):
-        g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True)
+    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True) == []
+    assert g.edges == {}
+    g.audit()
 
 
 # -- connectivity ---------------------------------------------------------

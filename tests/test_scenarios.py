@@ -214,3 +214,17 @@ def test_double_jump_needs_jumps():
 def test_bad_apex_grid_rejected_at_parse(grid):
     with pytest.raises(ValueError, match="profile: profile apex_grid must be a non-empty list of numbers >= 0"):
         parse_scenario(minimal_data(profile={"apex_grid": grid}))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("stride", 0, "stride must be > 0"),
+        ("stride", -0.4, "stride must be > 0"),
+        ("res", math.inf, "res must be a finite number"),
+        ("r_jump", math.nan, "r_jump must be a finite number"),
+    ],
+)
+def test_bad_profile_number_rejected_at_parse(field, value, message):
+    with pytest.raises(ValueError, match=f"profile: profile {message}"):
+        parse_scenario(minimal_data(profile={field: value}))

@@ -376,6 +376,9 @@ def test_robot_profile_validation():
         RobotProfile(h_walk=0.2)  # walk band below crawl band
     with pytest.raises(ValueError):
         RobotProfile(jump_angle_min=1.5, jump_angle_max=1.0)
+    for bad in ({"stride": 0.0}, {"g": -9.81}, {"v_max": math.inf}, {"h_walk": math.nan}, {"r_jump": "0.35"}, {"res": True}):
+        with pytest.raises(ValueError, match=f"profile {next(iter(bad))} must be"):
+            RobotProfile(**bad)
 
 
 # -- scalar single-pose kernels vs the batch kernels -----------------------
