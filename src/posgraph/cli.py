@@ -174,6 +174,8 @@ def run_benchmark(
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     sc = _load_scenario(args)
     result = run_benchmark(sc, args.trials, args.seed, args.time_limit)
     times = result.solved_times()

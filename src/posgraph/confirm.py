@@ -13,8 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .world import (
     Pose,
     RectFootprint,
@@ -22,6 +20,7 @@ from .world import (
     VolumeSpec,
     WorldModel,
     _floor_points_solid,
+    _linspace,
     _spheres_hit_boxes,
     _volume_clear_batch,
     floor_solid,
@@ -113,9 +112,9 @@ def solve_jump_bvp(p_launch: Pose, p_land: Pose, profile: RobotProfile) -> JumpT
     t_lo = math.sqrt(lo2) if lo2 > 0.0 else min(1e-4, 0.5 * t_hi)
     if t_lo >= t_hi:
         return None
-    ts = np.linspace(t_lo, t_hi, 64)
-    vv = (d / ts) ** 2 + (dz / ts + 0.5 * g * ts) ** 2
-    i = int(np.argmin(vv))
+    ts = _linspace(t_lo, t_hi, 64)
+    vv = [_takeoff_speed_sq(t, d, dz, g) for t in ts]
+    i = vv.index(min(vv))  # the first minimum
     a = ts[max(0, i - 1)]
     b = ts[min(len(ts) - 1, i + 1)]
     # objective is unimodal in T on this bracket; golden-section to 1e-6
@@ -144,13 +143,11 @@ def solve_jump_bvp(p_launch: Pose, p_land: Pose, profile: RobotProfile) -> JumpT
     rise = vz0 * vz0 / (2.0 * g) if vz0 > 0 else 0.0
     arc_len = d + 2.0 * rise
     n = max(8, math.ceil(arc_len / (0.5 * profile.res)))
-    t = np.linspace(0.0, T, n + 1)
     ux, uy = dx / d, dy / d
-    hx = vh * t
-    xs = p_launch.x + ux * hx
-    ys = p_launch.y + uy * hx
-    zs = p_launch.h + vz0 * t - 0.5 * g * t * t
-    points = tuple((float(px), float(py), float(pz)) for px, py, pz in zip(xs, ys, zs))
+    points = tuple(
+        (p_launch.x + ux * (vh * t), p_launch.y + uy * (vh * t), p_launch.h + vz0 * t - 0.5 * g * t * t)
+        for t in _linspace(0.0, T, n + 1)
+    )
     return JumpTrajectory(speed=speed, elevation=elevation, flight_time=T, points=points)
 
 
@@ -203,8 +200,8 @@ class GaitConfirmJob:
             sign = 1.0 if k % 2 == 0 else -1.0
             fx.append(p1.x + px * lateral_offset * sign)
             fy.append(p1.y + py * lateral_offset * sign)
-        self._fx = np.array(fx)
-        self._fy = np.array(fy)
+        self._fx = fx
+        self._fy = fy
         self._cursor = 0
         self._foot_cursor = 0
 
@@ -245,7 +242,7 @@ class JumpConfirmJob:
         self.job_id = -1
         self._solved = False
         self._trajectory: JumpTrajectory | None = None
-        self._pts: np.ndarray | None = None
+        self._pts: tuple[tuple[float, float, float], ...] = ()
         self._cursor = 0
 
     def step(self, budget: int, world: WorldModel) -> Verdict | None:
@@ -259,11 +256,11 @@ class JumpConfirmJob:
                 budget -= self.SOLVE_COST
                 if self._trajectory is None:
                     return Verdict(self.job_id, self.edge, REFUTED)
-                self._pts = np.array(self._trajectory.points)
-            elif self._pts is not None and self._cursor < len(self._pts):
+                self._pts = self._trajectory.points
+            elif self._cursor < len(self._pts):
                 k = min(budget, len(self._pts) - self._cursor)
-                chunk = self._pts[self._cursor : self._cursor + k]
-                if _spheres_hit_boxes(chunk[:, 0], chunk[:, 1], chunk[:, 2], prof.r_jump, world._obs):
+                xs, ys, zs = zip(*self._pts[self._cursor : self._cursor + k])
+                if _spheres_hit_boxes(xs, ys, zs, prof.r_jump, world._obs):
                     return Verdict(self.job_id, self.edge, REFUTED)
                 self._cursor += k
                 budget -= k

@@ -223,7 +223,9 @@ class PossibilityGraph:
     def edge_blocked(self, tag: str, p0: Pose, p1: Pose) -> bool:
         """True if this quantized endpoint pair was refuted, is pending a job,
         or already exists live."""
-        k = edge_key(tag, p0, p1)
+        return self._key_blocked(edge_key(tag, p0, p1))
+
+    def _key_blocked(self, k: tuple) -> bool:
         return k in self._removed_registry or k in self._pending_keys or k in self._live_keys
 
     def edge_live(self, tag: str, p0: Pose, p1: Pose) -> bool:
@@ -255,17 +257,18 @@ class PossibilityGraph:
             raise KeyError("edge endpoints must be existing vertices")
         p0 = self.vertices[src].pose
         p1 = self.vertices[dst].pose
-        if self.edge_blocked(tag, p0, p1):
+        fwd = edge_key(tag, p0, p1)
+        if self._key_blocked(fwd):
             return []
         chk = self.checks.get(tag)
         if chk and chk.edge and not chk.edge(p0, p1):
             return []
         c = self._edge_cost(p0, p1, tag) if cost is None else cost
-        ids = [self._add_one(src, dst, tag, status, c, apex)]
+        ids = [self._add_one(src, dst, tag, status, c, apex, fwd)]
         if bidirectional:
             back = edge_key(tag, p1, p0)
             if back not in self._removed_registry and back not in self._live_keys:
-                ids.append(self._add_one(dst, src, tag, status, c, apex))
+                ids.append(self._add_one(dst, src, tag, status, c, apex, back))
                 self.edges[ids[0]].twin = ids[1]
                 self.edges[ids[1]].twin = ids[0]
         if (
@@ -278,13 +281,13 @@ class PossibilityGraph:
         self._bump()
         return ids
 
-    def _add_one(self, src, dst, tag, status, cost, apex) -> int:
+    def _add_one(self, src, dst, tag, status, cost, apex, key) -> int:
         eid = self._next_eid
         self._next_eid += 1
         self.edges[eid] = EdgeRecord(eid, tag, src, dst, status, cost, apex)
         self._out[src].append(eid)
         self._in[dst].append(eid)
-        self._live_keys.add(edge_key(tag, self.vertices[src].pose, self.vertices[dst].pose))
+        self._live_keys.add(key)
         return eid
 
     def remove_edge(self, eid: int, register: bool = False):

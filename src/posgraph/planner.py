@@ -64,10 +64,15 @@ class PlannerConfig:
     jump_surcharge: float = 1.0
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.step <= 0 or self.goal_radius < 0:
+        # written as `not x > 0` so that NaN fails too
+        if not self.t_max > 0 or not self.step > 0 or not self.goal_radius >= 0:
             raise ValueError("planner config requires positive t_max/step and non-negative goal radius")
+        if not 0.0 <= self.goal_bias <= 1.0:
+            raise ValueError("planner config requires goal_bias in [0, 1]")
         if self.workers < 1 or self.max_transitions_per_cycle < 1:
             raise ValueError("planner config requires workers >= 1 and a positive transition cap")
+        if not self.quanta_per_cycle >= 1:
+            raise ValueError("planner config requires quanta_per_cycle >= 1")
 
 
 @dataclass

@@ -5,19 +5,19 @@ Worlds are axis-aligned: box obstacles in 3D, rectangular floor gaps, and a
 solid floor at z = 0 everywhere else. Angled structures are expected to be
 approximated by staircases of boxes before they get here.
 
-Single poses take a scalar pure-Python path (`volume_clear`, `floor_solid`,
-`floor_point_solid`): with a handful of boxes, numpy's per-call overhead is
-larger than the work. Sampled sweeps take the numpy batch path. Both paths
-evaluate the same float expressions in the same order, so they agree bit for
-bit, and both read the obstacles of a z band from a per-world cache.
+Every collision query runs on one family of scalar pure-Python kernels over
+tuples of box bounds: a disc, an oriented rectangle or a sphere against a
+list of boxes. A single pose calls a kernel once (`volume_clear`,
+`floor_solid`, `floor_point_solid`). A sampled sweep or arc first makes one
+broad-phase pass that keeps only the boxes overlapping the samples' bounding
+box, grown by the shape's reach, and then calls the same kernel per sample.
+The obstacles of a z band are filtered once per world and cached.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,13 +32,6 @@ def normalize_angle(a: float) -> float:
     if a <= -math.pi:
         a += TWO_PI
     return a
-
-
-def _normalize_angles(a: np.ndarray) -> np.ndarray:
-    r = np.mod(np.asarray(a, dtype=float) + math.pi, TWO_PI)
-    # mod lands ties at 0; push them to 2*pi so the result stays in (-pi, pi]
-    r[r == 0.0] = TWO_PI
-    return r - math.pi
 
 
 @dataclass(frozen=True)
@@ -210,8 +203,8 @@ def _apex_grid(grid) -> tuple[float, ...]:
 
 
 def _aabb_rects(rows) -> tuple[tuple[float, float, float, float], ...]:
-    """(center x, center y, half x, half y) of each [xlo, xhi, ylo, yhi] row,
-    by the expressions `_rects_overlap_aabbs` uses."""
+    """(center x, center y, half x, half y) of each (xlo, xhi, ylo, yhi) box:
+    the form `_rect_hits_any` tests against."""
     return tuple(
         (0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * (x1 - x0), 0.5 * (y1 - y0)) for x0, x1, y0, y1 in rows
     )
@@ -223,7 +216,6 @@ class _Band:
 
     boxes: tuple[tuple[float, float, float, float], ...]  # (xlo, xhi, ylo, yhi)
     rects: tuple[tuple[float, float, float, float], ...]  # (cx, cy, half x, half y)
-    array: np.ndarray  # the boxes as rows of [xlo, xhi, ylo, yhi]
 
 
 @dataclass
@@ -234,8 +226,7 @@ class WorldModel:
     bounds_y: tuple[float, float]
     obstacles: tuple[Box, ...] = ()
     gaps: tuple[GapRect, ...] = ()
-    _obs: np.ndarray = field(init=False, repr=False, compare=False)
-    _gap: np.ndarray = field(init=False, repr=False, compare=False)
+    _obs: tuple = field(init=False, repr=False, compare=False)  # (xlo, xhi, ylo, yhi, zlo, zhi) per box
     _gap_boxes: tuple = field(init=False, repr=False, compare=False)
     _gap_rects: tuple = field(init=False, repr=False, compare=False)
     _bands: dict = field(init=False, repr=False, compare=False)
@@ -251,14 +242,8 @@ class WorldModel:
         for i, g in enumerate(self.gaps):
             if not self._interval_inside(g.x, self.bounds_x) or not self._interval_inside(g.y, self.bounds_y):
                 raise ValueError(f"gap {i} lies outside world bounds")
-        self._obs = np.array(
-            [[b.x[0], b.x[1], b.y[0], b.y[1], b.z[0], b.z[1]] for b in self.obstacles],
-            dtype=float,
-        ).reshape(len(self.obstacles), 6)
-        self._gap = np.array(
-            [[g.x[0], g.x[1], g.y[0], g.y[1]] for g in self.gaps], dtype=float
-        ).reshape(len(self.gaps), 4)
-        self._gap_boxes = tuple(tuple(map(float, row)) for row in self._gap)
+        self._obs = tuple(tuple(float(v) for v in (*b.x, *b.y, *b.z)) for b in self.obstacles)
+        self._gap_boxes = tuple(tuple(float(v) for v in (*g.x, *g.y)) for g in self.gaps)
         self._gap_rects = _aabb_rects(self._gap_boxes)
         self._bands = {}
 
@@ -267,9 +252,8 @@ class WorldModel:
         band = self._bands.get(z_band)
         if band is None:
             zlo, zhi = z_band
-            sel = self._obs[(self._obs[:, 4] < zhi) & (self._obs[:, 5] > zlo)][:, 0:4]
-            boxes = tuple(tuple(map(float, row)) for row in sel)
-            band = self._bands[z_band] = _Band(boxes, _aabb_rects(boxes), sel)
+            boxes = tuple(o[:4] for o in self._obs if o[4] < zhi and o[5] > zlo)
+            band = self._bands[z_band] = _Band(boxes, _aabb_rects(boxes))
         return band
 
     @staticmethod
@@ -293,27 +277,8 @@ class WorldModel:
 # collision kernels
 
 
-def _discs_hit_boxes(xs, ys, radius, zlo, zhi, obs) -> bool:
-    """True if any disc (same radius, z band) strictly penetrates any box."""
-    if obs.shape[0] == 0:
-        return False
-    zmask = (obs[:, 4] < zhi) & (obs[:, 5] > zlo)
-    if not zmask.any():
-        return False
-    return _discs_hit_aabbs(xs, ys, radius, obs[zmask])
-
-
-def _discs_hit_aabbs(xs, ys, radius, sel) -> bool:
-    """True if any disc strictly penetrates any row of [xlo, xhi, ylo, yhi]."""
-    xs = np.asarray(xs, dtype=float)[:, None]
-    ys = np.asarray(ys, dtype=float)[:, None]
-    dx = np.maximum(np.maximum(sel[None, :, 0] - xs, xs - sel[None, :, 1]), 0.0)
-    dy = np.maximum(np.maximum(sel[None, :, 2] - ys, ys - sel[None, :, 3]), 0.0)
-    return bool((dx * dx + dy * dy < radius * radius).any())
-
-
 def _disc_hits_any(x, y, radius, boxes) -> bool:
-    """Scalar `_discs_hit_aabbs` for one disc over (xlo, xhi, ylo, yhi) tuples."""
+    """True if the disc strictly penetrates any (xlo, xhi, ylo, yhi) box."""
     rr = radius * radius
     for x0, x1, y0, y1 in boxes:
         dx = max(x0 - x, x - x1, 0.0)
@@ -323,40 +288,10 @@ def _disc_hits_any(x, y, radius, boxes) -> bool:
     return False
 
 
-def _rect_overlaps_aabbs(cx, cy, theta, length, width, rects) -> np.ndarray:
-    """Strict-interior overlap of one oriented rect against rows of [xlo,xhi,ylo,yhi]."""
-    return _rects_overlap_aabbs(np.array([cx], dtype=float), np.array([cy], dtype=float), (theta,), length, width, rects)[0]
-
-
-def _rects_overlap_aabbs(xs, ys, thetas, length, width, rects) -> np.ndarray:
-    """Overlap matrix, placements x rows, in one separating-axis pass.
-    Headings go through math.cos and math.sin, one placement at a time, so
-    every path sees the same values as `_rect_hits_any`."""
-    c = np.array([math.cos(t) for t in thetas])[:, None]
-    s = np.array([math.sin(t) for t in thetas])[:, None]
-    cx = xs[:, None]
-    cy = ys[:, None]
-    hl = 0.5 * length
-    hw = 0.5 * width
-    bcx = 0.5 * (rects[:, 0] + rects[:, 1])
-    bcy = 0.5 * (rects[:, 2] + rects[:, 3])
-    bhx = 0.5 * (rects[:, 1] - rects[:, 0])
-    bhy = 0.5 * (rects[:, 3] - rects[:, 2])
-    ac = np.abs(c)
-    as_ = np.abs(s)
-    # separating axis test on the two world axes and the two rect axes
-    ox = np.abs(cx - bcx) < ac * hl + as_ * hw + bhx
-    oy = np.abs(cy - bcy) < as_ * hl + ac * hw + bhy
-    cu = c * cx + s * cy
-    cw = -s * cx + c * cy
-    ou = np.abs(cu - (c * bcx + s * bcy)) < hl + ac * bhx + as_ * bhy
-    ow = np.abs(cw - (-s * bcx + c * bcy)) < hw + as_ * bhx + ac * bhy
-    return ox & oy & ou & ow
-
-
 def _rect_hits_any(cx, cy, theta, length, width, rects) -> bool:
-    """Scalar `_rects_overlap_aabbs(...).any()` over (cx, cy, half x, half y)
-    tuples from `_aabb_rects`, with the same expressions in the same order."""
+    """Strict-interior overlap of one oriented rectangle with any box given as
+    (cx, cy, half x, half y) from `_aabb_rects`: a separating-axis test on the
+    two world axes and the two rectangle axes."""
     c = math.cos(theta)
     s = math.sin(theta)
     hl = 0.5 * length
@@ -378,8 +313,28 @@ def _rect_hits_any(cx, cy, theta, length, width, rects) -> bool:
     return False
 
 
-def rect_corners(cx: float, cy: float, theta: float, length: float, width: float) -> np.ndarray:
-    return np.array(_rect_corner_tuples(cx, cy, theta, length, width))
+def _sphere_hits_any(x, y, z, radius, boxes) -> bool:
+    """True if the sphere strictly penetrates any (xlo, xhi, ylo, yhi, zlo, zhi) box."""
+    rr = radius * radius
+    for x0, x1, y0, y1, z0, z1 in boxes:
+        dx = max(x0 - x, x - x1, 0.0)
+        dy = max(y0 - y, y - y1, 0.0)
+        dz = max(z0 - z, z - z1, 0.0)
+        if dx * dx + dy * dy + dz * dz < rr:
+            return True
+    return False
+
+
+def _near(boxes, items, xs, ys, reach) -> list:
+    """Broad phase: the items whose box, (xlo, xhi, ylo, yhi, ...), overlaps
+    the samples' planar bounding box grown by `reach`. A shape that stays
+    within `reach` of its sample cannot meet any other box; callers add 1e-6
+    to the shape's reach to cover rounding in the narrow-phase tests."""
+    xlo = min(xs) - reach
+    xhi = max(xs) + reach
+    ylo = min(ys) - reach
+    yhi = max(ys) + reach
+    return [it for b, it in zip(boxes, items) if b[0] <= xhi and b[1] >= xlo and b[2] <= yhi and b[3] >= ylo]
 
 
 def _rect_corner_tuples(cx, cy, theta, length, width) -> tuple[tuple[float, float], ...]:
@@ -398,24 +353,22 @@ def _rect_corner_tuples(cx, cy, theta, length, width) -> tuple[tuple[float, floa
 
 
 def _volume_clear_batch(xs, ys, thetas, vol: VolumeSpec, world: WorldModel) -> bool:
-    """All sampled placements inside bounds and free of strict obstacle overlap."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    inb = (
-        (xs >= world.bounds_x[0])
-        & (xs <= world.bounds_x[1])
-        & (ys >= world.bounds_y[0])
-        & (ys <= world.bounds_y[1])
-    )
-    if not inb.all():
+    """All sampled placements (one or more) inside bounds and free of strict
+    obstacle overlap."""
+    if min(xs) < world.bounds_x[0] or max(xs) > world.bounds_x[1]:
         return False
-    sel = world.band(vol.z_band).array
-    if sel.shape[0] == 0:
-        return True
+    if min(ys) < world.bounds_y[0] or max(ys) > world.bounds_y[1]:
+        return False
+    band = world.band(vol.z_band)
     fp = vol.footprint
+    reach = fp.max_radius + 1e-6
     if isinstance(fp, DiscFootprint):
-        return not _discs_hit_aabbs(xs, ys, fp.radius, sel)
-    return not _rects_overlap_aabbs(xs, ys, thetas, fp.length, fp.width, sel).any()
+        boxes = _near(band.boxes, band.boxes, xs, ys, reach)
+        return not boxes or not any(_disc_hits_any(x, y, fp.radius, boxes) for x, y in zip(xs, ys))
+    rects = _near(band.boxes, band.rects, xs, ys, reach)
+    return not rects or not any(
+        _rect_hits_any(x, y, th, fp.length, fp.width, rects) for x, y, th in zip(xs, ys, thetas)
+    )
 
 
 def volume_clear(pose: Pose, vol: VolumeSpec, world: WorldModel) -> bool:
@@ -440,16 +393,31 @@ def sweep_steps(p0: Pose, p1: Pose, vol: VolumeSpec, res: float) -> int:
     return max(1, math.ceil((trans + rot) / res))
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """`num` >= 2 evenly spaced samples from start to stop, both included, by
+    the expressions numpy.linspace evaluates, so the two agree bit for bit."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        # a zero or underflowing step: scale each fraction of the span instead
+        out = [i / div * delta + start for i in range(num)]
+    else:
+        out = [i * step + start for i in range(num)]
+    out[-1] = stop
+    return out
+
+
 def interpolate_poses(p0: Pose, p1: Pose, n: int):
-    """(n+1)-sample linear interpolation with exact endpoints; theta runs
-    along the shortest arc."""
-    t = np.linspace(0.0, 1.0, n + 1)
-    xs = np.linspace(p0.x, p1.x, n + 1)
-    ys = np.linspace(p0.y, p1.y, n + 1)
-    hs = np.linspace(p0.h, p1.h, n + 1)
+    """(n+1)-sample linear interpolation with exact endpoints, as lists xs, ys,
+    thetas, hs; theta runs along the shortest arc."""
     dth = normalize_angle(p1.theta - p0.theta)
-    thetas = _normalize_angles(p0.theta + dth * t)
-    return xs, ys, thetas, hs
+    thetas = []
+    for t in _linspace(0.0, 1.0, n + 1):
+        # % lands ties at 0; push them to 2*pi so the result stays in (-pi, pi]
+        r = (p0.theta + dth * t + math.pi) % TWO_PI
+        thetas.append((r or TWO_PI) - math.pi)
+    return _linspace(p0.x, p1.x, n + 1), _linspace(p0.y, p1.y, n + 1), thetas, _linspace(p0.h, p1.h, n + 1)
 
 
 def swept_clear(p0: Pose, p1: Pose, vol: VolumeSpec, world: WorldModel, res: float) -> bool:
@@ -513,28 +481,16 @@ def _floor_points_solid(xs, ys, world: WorldModel) -> bool:
     footprint-based support checks see them.
     """
     e = FOOT_BEARING
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    inb = (
-        (xs - e >= world.bounds_x[0] - 1e-12)
-        & (xs + e <= world.bounds_x[1] + 1e-12)
-        & (ys - e >= world.bounds_y[0] - 1e-12)
-        & (ys + e <= world.bounds_y[1] + 1e-12)
-    )
-    if not inb.all():
-        return False
-    g = world._gap
-    if g.shape[0] == 0:
-        return True
-    xs = xs[:, None]
-    ys = ys[:, None]
-    inside = (
-        (g[None, :, 0] - e < xs)
-        & (xs < g[None, :, 1] + e)
-        & (g[None, :, 2] - e < ys)
-        & (ys < g[None, :, 3] + e)
-    )
-    return not bool(inside.any())
+    bx, by = world.bounds_x, world.bounds_y
+    for x, y in zip(xs, ys):
+        if not (
+            x - e >= bx[0] - 1e-12 and x + e <= bx[1] + 1e-12 and y - e >= by[0] - 1e-12 and y + e <= by[1] + 1e-12
+        ):
+            return False
+        for gx0, gx1, gy0, gy1 in world._gap_boxes:
+            if gx0 - e < x < gx1 + e and gy0 - e < y < gy1 + e:
+                return False
+    return True
 
 
 def floor_solid(pose: Pose, footprint: Footprint, world: WorldModel) -> bool:
@@ -542,17 +498,22 @@ def floor_solid(pose: Pose, footprint: Footprint, world: WorldModel) -> bool:
 
     Disc footprints ignore pose.theta and pose.h entirely.
     """
+    return _supported(pose.x, pose.y, pose.theta, footprint, world, world._gap_boxes, world._gap_rects)
+
+
+def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gap_boxes, gap_rects) -> bool:
+    """`floor_solid` at one placement, against the given gaps in both forms."""
     if isinstance(footprint, DiscFootprint):
         r = footprint.radius
         if not (
-            pose.x - r >= world.bounds_x[0] - 1e-12
-            and pose.x + r <= world.bounds_x[1] + 1e-12
-            and pose.y - r >= world.bounds_y[0] - 1e-12
-            and pose.y + r <= world.bounds_y[1] + 1e-12
+            x - r >= world.bounds_x[0] - 1e-12
+            and x + r <= world.bounds_x[1] + 1e-12
+            and y - r >= world.bounds_y[0] - 1e-12
+            and y + r <= world.bounds_y[1] + 1e-12
         ):
             return False
-        return not _disc_hits_any(pose.x, pose.y, r, world._gap_boxes)
-    for cx, cy in _rect_corner_tuples(pose.x, pose.y, pose.theta, footprint.length, footprint.width):
+        return not _disc_hits_any(x, y, r, gap_boxes)
+    for cx, cy in _rect_corner_tuples(x, y, theta, footprint.length, footprint.width):
         if not (
             cx >= world.bounds_x[0] - 1e-12
             and cx <= world.bounds_x[1] + 1e-12
@@ -560,34 +521,15 @@ def floor_solid(pose: Pose, footprint: Footprint, world: WorldModel) -> bool:
             and cy <= world.bounds_y[1] + 1e-12
         ):
             return False
-    return not _rect_hits_any(pose.x, pose.y, pose.theta, footprint.length, footprint.width, world._gap_rects)
+    return not _rect_hits_any(x, y, theta, footprint.length, footprint.width, gap_rects)
 
 
 def _floor_solid_batch(xs, ys, thetas, footprint: Footprint, world: WorldModel) -> bool:
-    if isinstance(footprint, DiscFootprint):
-        r = footprint.radius
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        inb = (
-            (xs - r >= world.bounds_x[0] - 1e-12)
-            & (xs + r <= world.bounds_x[1] + 1e-12)
-            & (ys - r >= world.bounds_y[0] - 1e-12)
-            & (ys + r <= world.bounds_y[1] + 1e-12)
-        )
-        if not inb.all():
-            return False
-        g = world._gap
-        if g.shape[0] == 0:
-            return True
-        cx = xs[:, None]
-        cy = ys[:, None]
-        dx = np.maximum(np.maximum(g[None, :, 0] - cx, cx - g[None, :, 1]), 0.0)
-        dy = np.maximum(np.maximum(g[None, :, 2] - cy, cy - g[None, :, 3]), 0.0)
-        return not bool((dx * dx + dy * dy < r * r).any())
-    for i in range(len(xs)):
-        if not floor_solid(Pose(float(xs[i]), float(ys[i]), float(thetas[i]), 0.0), footprint, world):
-            return False
-    return True
+    """`floor_solid` at every sample, against the gaps near the samples."""
+    reach = footprint.max_radius + 1e-6
+    boxes = _near(world._gap_boxes, world._gap_boxes, xs, ys, reach)
+    rects = _near(world._gap_boxes, world._gap_rects, xs, ys, reach)
+    return all(_supported(x, y, th, footprint, world, boxes, rects) for x, y, th in zip(xs, ys, thetas))
 
 
 # ---------------------------------------------------------------------------
@@ -612,23 +554,17 @@ def parabola_clear(
     # |dP/ds| <= sqrt(chord^2 + (|dz| + 4a)^2); spacing <= res along the arc
     lmax = math.sqrt(chord * chord + (abs(dz) + 4.0 * apex_rise) ** 2)
     n = max(2, math.ceil(lmax / res))
-    s = np.linspace(0.0, 1.0, n + 1)
-    xs = p0.x + dx * s
-    ys = p0.y + dy * s
-    zs = p0.h + dz * s + 4.0 * apex_rise * s * (1.0 - s)
+    s = _linspace(0.0, 1.0, n + 1)
+    xs = [p0.x + dx * t for t in s]
+    ys = [p0.y + dy * t for t in s]
+    zs = [p0.h + dz * t + 4.0 * apex_rise * t * (1.0 - t) for t in s]
     return not _spheres_hit_boxes(xs, ys, zs, radius, world._obs)
 
 
 def _spheres_hit_boxes(xs, ys, zs, radius, obs) -> bool:
-    if obs.shape[0] == 0:
-        return False
-    xs = np.asarray(xs, dtype=float)[:, None]
-    ys = np.asarray(ys, dtype=float)[:, None]
-    zs = np.asarray(zs, dtype=float)[:, None]
-    dx = np.maximum(np.maximum(obs[None, :, 0] - xs, xs - obs[None, :, 1]), 0.0)
-    dy = np.maximum(np.maximum(obs[None, :, 2] - ys, ys - obs[None, :, 3]), 0.0)
-    dz = np.maximum(np.maximum(obs[None, :, 4] - zs, zs - obs[None, :, 5]), 0.0)
-    return bool((dx * dx + dy * dy + dz * dz < radius * radius).any())
+    """True if a sphere at any sample strictly penetrates any obstacle."""
+    near = _near(obs, obs, xs, ys, radius + 1e-6)
+    return bool(near) and any(_sphere_hits_any(x, y, z, radius, near) for x, y, z in zip(xs, ys, zs))
 
 
 def sample_pose(world: WorldModel, rng: random.Random) -> Pose:

@@ -100,10 +100,16 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         ["solve", "--builtin", "three_routes_a", "--actions", "walk,fly"],
         ["solve", "--builtin", "three_routes_a", "--actions", " , "],
         ["show", "--scenario", str(bad)],
+        # a NaN limit ran no cycle and exited 2, "no path found within nans"
+        ["solve", "--builtin", "three_routes_a", "--time-limit", "nan"],
+        # no trials printed a row of nan and exited 2
+        ["bench", "--builtin", "three_routes_a", "--trials", "0"],
+        ["bench", "--builtin", "three_routes_a", "--trials", "-3"],
     ]
     for argv in cases:
         assert main(argv) == EXIT_INPUT, argv
-        assert "error:" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "error:" in err and "nan" not in out, argv
 
 
 def test_show_round_trips(tmp_path, capsys):

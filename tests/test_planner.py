@@ -238,6 +238,22 @@ def test_input_errors(profile):
         PlannerConfig(workers=0)
     with pytest.raises(ValueError):
         PlannerConfig(t_max=0)
+    # quanta_per_cycle=0 left every job pending until t_max, and a NaN t_max
+    # ran no cycle at all
+    for bad in (
+        {"quanta_per_cycle": 0},
+        {"quanta_per_cycle": -2},
+        {"t_max": math.nan},
+        {"step": math.nan},
+        {"goal_radius": math.nan},
+        {"goal_bias": -0.1},
+        {"goal_bias": 1.5},
+        {"goal_bias": math.nan},
+    ):
+        with pytest.raises(ValueError, match="planner config requires"):
+            PlannerConfig(**bad)
+    PlannerConfig(quanta_per_cycle=1, goal_bias=0.0, goal_radius=0.0)
+    PlannerConfig(goal_bias=1.0, t_max=math.inf)
 
 
 # -- end to end -----------------------------------------------------------

@@ -1,26 +1,34 @@
-"""Geometry kernels checked against brute-force point-sampling oracles."""
+"""Geometry kernels checked against brute-force point-sampling oracles and
+against all-boxes numpy reference kernels."""
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from posgraph import Box, GapRect, Pose, RobotProfile, WorldModel, pose_distance
+import posgraph
+from posgraph import Box, GapRect, Pose, RobotProfile, WorldModel, builtin_scenario, pose_distance
 from posgraph.world import (
     DEFAULT_METRIC_WEIGHTS,
+    TWO_PI,
     DiscFootprint,
     RectFootprint,
     VolumeSpec,
-    _discs_hit_boxes,
+    _disc_hits_any,
     _floor_solid_batch,
-    _rect_overlaps_aabbs,
+    _linspace,
+    _rect_corner_tuples,
+    _rect_hits_any,
     _volume_clear_batch,
     floor_point_solid,
     floor_solid,
     interpolate_poses,
     normalize_angle,
     parabola_clear,
-    rect_corners,
     sample_pose,
     segment_crosses_gap,
     sweep_steps,
@@ -72,6 +80,115 @@ def point_box_clearance(px, py, box):
     return math.hypot(dx, dy)
 
 
+# -- numpy reference kernels ----------------------------------------------
+# Every sample against every box, by the float expressions the library's
+# scalar kernels evaluate, so the two must agree bit for bit. The library
+# adds a broad phase per sweep and arc; these references have none.
+
+
+def obstacle_rows(world):
+    """[xlo, xhi, ylo, yhi, zlo, zhi] per obstacle."""
+    return np.array([[*b.x, *b.y, *b.z] for b in world.obstacles], dtype=float).reshape(-1, 6)
+
+
+def gap_rows(world):
+    """[xlo, xhi, ylo, yhi] per floor gap."""
+    return np.array([[*g.x, *g.y] for g in world.gaps], dtype=float).reshape(-1, 4)
+
+
+def band_rows(world, z_band):
+    """The [xlo, xhi, ylo, yhi] rows of the obstacles strictly overlapping the z band."""
+    obs = obstacle_rows(world)
+    zlo, zhi = z_band
+    return obs[(obs[:, 4] < zhi) & (obs[:, 5] > zlo)][:, 0:4]
+
+
+def discs_hit_aabbs(xs, ys, radius, sel) -> bool:
+    """True if any disc strictly penetrates any row of [xlo, xhi, ylo, yhi]."""
+    xs = np.asarray(xs, dtype=float)[:, None]
+    ys = np.asarray(ys, dtype=float)[:, None]
+    dx = np.maximum(np.maximum(sel[None, :, 0] - xs, xs - sel[None, :, 1]), 0.0)
+    dy = np.maximum(np.maximum(sel[None, :, 2] - ys, ys - sel[None, :, 3]), 0.0)
+    return bool((dx * dx + dy * dy < radius * radius).any())
+
+
+def rects_overlap_aabbs(xs, ys, thetas, length, width, rects) -> np.ndarray:
+    """Overlap matrix, placements x rows, in one separating-axis pass."""
+    c = np.array([math.cos(t) for t in thetas])[:, None]
+    s = np.array([math.sin(t) for t in thetas])[:, None]
+    cx = np.asarray(xs, dtype=float)[:, None]
+    cy = np.asarray(ys, dtype=float)[:, None]
+    hl = 0.5 * length
+    hw = 0.5 * width
+    bcx = 0.5 * (rects[:, 0] + rects[:, 1])
+    bcy = 0.5 * (rects[:, 2] + rects[:, 3])
+    bhx = 0.5 * (rects[:, 1] - rects[:, 0])
+    bhy = 0.5 * (rects[:, 3] - rects[:, 2])
+    ac = np.abs(c)
+    as_ = np.abs(s)
+    ox = np.abs(cx - bcx) < ac * hl + as_ * hw + bhx
+    oy = np.abs(cy - bcy) < as_ * hl + ac * hw + bhy
+    cu = c * cx + s * cy
+    cw = -s * cx + c * cy
+    ou = np.abs(cu - (c * bcx + s * bcy)) < hl + ac * bhx + as_ * bhy
+    ow = np.abs(cw - (-s * bcx + c * bcy)) < hw + as_ * bhx + ac * bhy
+    return ox & oy & ou & ow
+
+
+def spheres_hit_boxes(xs, ys, zs, radius, obs) -> bool:
+    """True if any sphere strictly penetrates any obstacle row."""
+    xs, ys, zs = (np.asarray(v, dtype=float)[:, None] for v in (xs, ys, zs))
+    dx = np.maximum(np.maximum(obs[None, :, 0] - xs, xs - obs[None, :, 1]), 0.0)
+    dy = np.maximum(np.maximum(obs[None, :, 2] - ys, ys - obs[None, :, 3]), 0.0)
+    dz = np.maximum(np.maximum(obs[None, :, 4] - zs, zs - obs[None, :, 5]), 0.0)
+    return bool((dx * dx + dy * dy + dz * dz < radius * radius).any())
+
+
+def rect_corners(cx, cy, theta, length, width) -> np.ndarray:
+    """The four corners of an oriented rectangle, one row each."""
+    u = np.array([math.cos(theta), math.sin(theta)]) * (0.5 * length)
+    w = np.array([-math.sin(theta), math.cos(theta)]) * (0.5 * width)
+    ctr = np.array([cx, cy], dtype=float)
+    return np.array([ctr + u + w, ctr + u - w, ctr - u + w, ctr - u - w])
+
+
+def reference_interpolate(p0, p1, n):
+    """xs, ys, thetas of `interpolate_poses`, by numpy."""
+    t = np.linspace(0.0, 1.0, n + 1)
+    r = np.mod(p0.theta + normalize_angle(p1.theta - p0.theta) * t + math.pi, TWO_PI)
+    r[r == 0.0] = TWO_PI
+    return np.linspace(p0.x, p1.x, n + 1), np.linspace(p0.y, p1.y, n + 1), r - math.pi
+
+
+def reference_volume_clear_batch(xs, ys, thetas, vol, world) -> bool:
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    bx, by = world.bounds_x, world.bounds_y
+    if not ((xs >= bx[0]) & (xs <= bx[1]) & (ys >= by[0]) & (ys <= by[1])).all():
+        return False
+    sel = band_rows(world, vol.z_band)
+    if sel.shape[0] == 0:
+        return True
+    fp = vol.footprint
+    if isinstance(fp, DiscFootprint):
+        return not discs_hit_aabbs(xs, ys, fp.radius, sel)
+    return not rects_overlap_aabbs(xs, ys, thetas, fp.length, fp.width, sel).any()
+
+
+def reference_swept_clear(p0, p1, vol, world, res) -> bool:
+    xs, ys, ths = reference_interpolate(p0, p1, sweep_steps(p0, p1, vol, res))
+    return reference_volume_clear_batch(xs, ys, ths, vol, world)
+
+
+def reference_parabola_clear(p0, p1, apex_rise, radius, world, res) -> bool:
+    dx, dy, dz = p1.x - p0.x, p1.y - p0.y, p1.h - p0.h
+    chord = math.hypot(dx, dy)
+    n = max(2, math.ceil(math.sqrt(chord * chord + (abs(dz) + 4.0 * apex_rise) ** 2) / res))
+    s = np.linspace(0.0, 1.0, n + 1)
+    zs = p0.h + dz * s + 4.0 * apex_rise * s * (1.0 - s)
+    return not spheres_hit_boxes(p0.x + dx * s, p0.y + dy * s, zs, radius, obstacle_rows(world))
+
+
 # -- strict-interior disc test -------------------------------------------
 
 
@@ -93,7 +210,7 @@ def test_disc_near_box_face_worked_example():
 def test_disc_box_fuzz_against_oracle():
     rng = random.Random(11)
     box = Box((2.0, 3.0), (2.0, 3.5), (0.0, 1.0))
-    obs = np.array([[2.0, 3.0, 2.0, 3.5, 0.0, 1.0]])
+    boxes = WorldModel((0, 5), (0, 5), (box,), ()).band((0.2, 0.8)).boxes
     checked = 0
     for _ in range(300):
         cx = rng.uniform(1.0, 4.0)
@@ -102,7 +219,7 @@ def test_disc_box_fuzz_against_oracle():
         clearance = point_box_clearance(cx, cy, box)
         if abs(clearance - r) < 2e-3:
             continue  # boundary cases are the sampling oracle's blind spot
-        got = bool(_discs_hit_boxes(np.array([cx]), np.array([cy]), r, 0.2, 0.8, obs))
+        got = _disc_hits_any(cx, cy, r, boxes)
         want = disc_hits_box_oracle(cx, cy, r, 0.2, 0.8, box, step=0.001)
         assert got == want, (cx, cy, r)
         checked += 1
@@ -110,29 +227,29 @@ def test_disc_box_fuzz_against_oracle():
 
 
 def test_disc_z_band_disjoint_never_hits():
-    obs = np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 0.6]])
-    assert not _discs_hit_boxes(np.array([0.5]), np.array([0.5]), 0.3, 0.7, 1.5, obs)
+    world = WorldModel((0, 2), (0, 2), (Box((0.0, 1.0), (0.0, 1.0), (0.0, 0.6)),), ())
+    assert not _disc_hits_any(0.5, 0.5, 0.3, world.band((0.7, 1.5)).boxes)
     # touching bands do not overlap
-    assert not _discs_hit_boxes(np.array([0.5]), np.array([0.5]), 0.3, 0.6, 1.5, obs)
-    assert _discs_hit_boxes(np.array([0.5]), np.array([0.5]), 0.3, 0.59, 1.5, obs)
+    assert not _disc_hits_any(0.5, 0.5, 0.3, world.band((0.6, 1.5)).boxes)
+    assert _disc_hits_any(0.5, 0.5, 0.3, world.band((0.59, 1.5)).boxes)
 
 
 def test_rect_box_fuzz_against_oracle():
     rng = random.Random(21)
     box = Box((2.0, 3.2), (1.5, 2.4), (0.0, 1.0))
-    rects = np.array([[2.0, 3.2, 1.5, 2.4]])
+    rects = WorldModel((0, 5), (0, 4), (box,), ()).band((0.0, 1.0)).rects
     checked = 0
     for _ in range(150):
         cx = rng.uniform(1.0, 4.2)
         cy = rng.uniform(0.5, 3.4)
         th = rng.uniform(-math.pi, math.pi)
-        got = bool(_rect_overlaps_aabbs(cx, cy, th, 0.9, 0.5, rects).any())
+        got = _rect_hits_any(cx, cy, th, 0.9, 0.5, rects)
         want = rect_hits_box_oracle(cx, cy, th, 0.9, 0.5, box)
         if got != want:
             # only tolerable when the configuration is within sampling slop
             # of the boundary; re-test with a slightly grown/shrunk rect
-            grown = bool(_rect_overlaps_aabbs(cx, cy, th, 0.91, 0.51, rects).any())
-            shrunk = bool(_rect_overlaps_aabbs(cx, cy, th, 0.89, 0.49, rects).any())
+            grown = _rect_hits_any(cx, cy, th, 0.91, 0.51, rects)
+            shrunk = _rect_hits_any(cx, cy, th, 0.89, 0.49, rects)
             assert grown != shrunk, (cx, cy, th)
             continue
         checked += 1
@@ -140,8 +257,8 @@ def test_rect_box_fuzz_against_oracle():
 
 
 def test_rect_corners_shape():
-    c = rect_corners(1.0, 2.0, math.pi / 2, 0.9, 0.5)
-    assert c.shape == (4, 2)
+    c = _rect_corner_tuples(1.0, 2.0, math.pi / 2, 0.9, 0.5)
+    assert np.array(c).shape == (4, 2)
     # rotated 90 deg: length now along y
     ys = sorted(p[1] for p in c)
     assert ys[0] == pytest.approx(2.0 - 0.45)
@@ -386,15 +503,7 @@ def test_robot_profile_validation():
 
 def _reference_volume_clear(pose, vol, world):
     """One-pose numpy test over all obstacles, z band filtered per call."""
-    if not world.contains(pose.x, pose.y):
-        return False
-    zlo, zhi = vol.z_band
-    fp = vol.footprint
-    if isinstance(fp, DiscFootprint):
-        return not _discs_hit_boxes(np.array([pose.x]), np.array([pose.y]), fp.radius, zlo, zhi, world._obs)
-    obs = world._obs
-    sel = obs[(obs[:, 4] < zhi) & (obs[:, 5] > zlo)][:, 0:4]
-    return not _rect_overlaps_aabbs(pose.x, pose.y, pose.theta, fp.length, fp.width, sel).any()
+    return reference_volume_clear_batch([pose.x], [pose.y], [pose.theta], vol, world)
 
 
 def _reference_floor_solid(pose, fp, world):
@@ -411,14 +520,12 @@ def _reference_floor_solid(pose, fp, world):
         and (corners[:, 1] <= by[1] + 1e-12).all()
     ):
         return False
-    g = world._gap
+    g = gap_rows(world)
     if g.shape[0] == 0:
         return True
     if isinstance(fp, DiscFootprint):
-        dx = np.maximum(np.maximum(g[:, 0] - pose.x, pose.x - g[:, 1]), 0.0)
-        dy = np.maximum(np.maximum(g[:, 2] - pose.y, pose.y - g[:, 3]), 0.0)
-        return not (dx * dx + dy * dy < fp.radius * fp.radius).any()
-    return not _rect_overlaps_aabbs(pose.x, pose.y, pose.theta, fp.length, fp.width, g).any()
+        return not discs_hit_aabbs([pose.x], [pose.y], fp.radius, g)
+    return not rects_overlap_aabbs([pose.x], [pose.y], [pose.theta], fp.length, fp.width, g).any()
 
 
 # floor-level volumes (walk and crawl bodies, thin probes) and a band that
@@ -447,9 +554,8 @@ def _check_kernels_agree(world, poses):
         for p in poses:
             want = _reference_volume_clear(p, vol, world)
             assert volume_clear(p, vol, world) == want, (p, vol)
-            one = _volume_clear_batch(np.array([p.x]), np.array([p.y]), np.array([p.theta]), vol, world)
-            assert one == want, (p, vol)
-        xs, ys, ths = (np.array([getattr(p, a) for p in poses]) for a in ("x", "y", "theta"))
+            assert _volume_clear_batch([p.x], [p.y], [p.theta], vol, world) == want, (p, vol)
+        xs, ys, ths = ([getattr(p, a) for p in poses] for a in ("x", "y", "theta"))
         assert _volume_clear_batch(xs, ys, ths, vol, world) == all(volume_clear(p, vol, world) for p in poses)
     for fp in KERNEL_FOOTPRINTS:
         for p in poses:
@@ -457,7 +563,7 @@ def _check_kernels_agree(world, poses):
             assert floor_solid(p, fp, world) == want, (p, fp)
             assert _floor_solid_batch([p.x], [p.y], [p.theta], fp, world) == want, (p, fp)
     for p in poses:
-        g = world._gap
+        g = gap_rows(world)
         inside = ((g[:, 0] < p.x) & (p.x < g[:, 1]) & (g[:, 2] < p.y) & (p.y < g[:, 3])).any()
         assert floor_point_solid(p.x, p.y, world) == (world.contains(p.x, p.y) and not inside), p
 
@@ -487,46 +593,29 @@ def _tie(lhs, rhs, c):
     return None
 
 
-def test_scalar_kernels_match_batch_on_exact_contacts():
-    """Face and corner contacts built from dyadic numbers, so `<` versus
-    `<=` decides each answer; one ulp inward must flip it."""
+def _exact_contacts():
+    """A world with dyadic bounds, named poses whose shapes touch its boxes
+    and gap exactly, the same contacts found by ulp search for rotated
+    rectangles, and copies of all of these nudged by 1e-12 and turned."""
     world = WorldModel(
         (0.0, 8.0),
         (0.0, 8.0),
         (Box((2.0, 3.0), (2.0, 3.0), (0.0, 2.0)), Box((5.0, 6.0), (1.0, 7.0), (0.75, 1.875))),
         (GapRect((2.0, 3.0), (5.0, 6.0)),),
     )
-    walk = VolumeSpec(DiscFootprint(0.625), (0.0, 1.5))
-    crawl = VolumeSpec(RectFootprint(1.0, 0.5), (0.0, 0.5))
-    bar = VolumeSpec(DiscFootprint(0.625), (1.0, 1.5))
-    # disc touching a face, then a corner (a 3-4-5 triangle scaled by 1/8)
-    face = Pose(2.0 - 0.625, 2.5, 0.0, 1.0)
-    corner = Pose(3.0 + 0.375, 3.0 + 0.5, 0.0, 1.0)
-    assert volume_clear(face, walk, world) and volume_clear(corner, walk, world)
-    assert not volume_clear(Pose(math.nextafter(face.x, 9.0), face.y, 0.0, 1.0), walk, world)
-    assert not volume_clear(Pose(corner.x, math.nextafter(corner.y, 0.0), 0.0, 1.0), walk, world)
-    # the raised bar only counts in its own band; the disc touches its face
-    under = Pose(5.0 - 0.625, 4.0, 0.0, 1.0)
-    assert volume_clear(under, bar, world)
-    assert not volume_clear(Pose(math.nextafter(under.x, 9.0), 4.0, 0.0, 1.0), bar, world)
-    # rectangle face and corner contacts, heading along x
-    rect_face = Pose(1.5, 2.5, 0.0, 0.3)
-    rect_corner = Pose(1.5, 1.75, 0.0, 0.3)
-    assert volume_clear(rect_face, crawl, world) and volume_clear(rect_corner, crawl, world)
-    assert not volume_clear(Pose(math.nextafter(1.5, 9.0), 2.5, 0.0, 0.3), crawl, world)
-    # support: disc and rectangle touching the gap rim from outside
-    disc = DiscFootprint(0.625)
-    rim = Pose(2.5, 5.0 - 0.625, 0.0, 1.0)
-    assert floor_solid(rim, disc, world)
-    assert not floor_solid(Pose(2.5, math.nextafter(rim.y, 9.0), 0.0, 1.0), disc, world)
-    rect = RectFootprint(1.0, 0.5)
-    assert floor_solid(Pose(1.5, 5.5, 0.0, 0.3), rect, world)
-    assert not floor_solid(Pose(math.nextafter(1.5, 9.0), 5.5, 0.0, 0.3), rect, world)
-    # a footprint touching the world edge is inside; one ulp out is not
-    assert floor_solid(Pose(0.625, 7.0, 0.0, 1.0), disc, world)
-    assert floor_point_solid(2.0, 5.5, world) and not floor_point_solid(math.nextafter(2.0, 9.0), 5.5, world)
-
-    contacts = [face, corner, under, rect_face, rect_corner, rim, Pose(1.5, 5.5, 0.0, 0.3)]
+    named = {
+        # disc touching a face, then a corner (a 3-4-5 triangle scaled by 1/8)
+        "face": Pose(2.0 - 0.625, 2.5, 0.0, 1.0),
+        "corner": Pose(3.0 + 0.375, 3.0 + 0.5, 0.0, 1.0),
+        # a disc touching the face of a raised bar
+        "under": Pose(5.0 - 0.625, 4.0, 0.0, 1.0),
+        # rectangle face and corner contacts, heading along x
+        "rect_face": Pose(1.5, 2.5, 0.0, 0.3),
+        "rect_corner": Pose(1.5, 1.75, 0.0, 0.3),
+        # disc and rectangle touching the gap rim from outside
+        "rim": Pose(2.5, 5.0 - 0.625, 0.0, 1.0),
+        "rect_rim": Pose(1.5, 5.5, 0.0, 0.3),
+    }
     # a rotated rectangle whose corner touches a box face: only the world
     # axis separates them, and only by a tie
     ties = []
@@ -546,8 +635,7 @@ def test_scalar_kernels_match_batch_on_exact_contacts():
         cx = 2.5 + s * dw
         cw = -s * 2.5 + c * 2.5
         ties.append(Pose(cx, _tie(lambda y: abs(-s * cx + c * y - cw), dw, 2.5 - c * dw), th, 0.3))
-    ties = [p for p in ties if None not in (p.x, p.y)]
-    contacts += ties
+    contacts = list(named.values()) + [p for p in ties if None not in (p.x, p.y)]
     nudged = [
         Pose(p.x + dx, p.y + dy, th, p.h)
         for p in contacts
@@ -555,7 +643,151 @@ def test_scalar_kernels_match_batch_on_exact_contacts():
         for dy in (-1e-12, 0.0, 1e-12)
         for th in (0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4)
     ]
+    return world, named, contacts, nudged
+
+
+def test_scalar_kernels_match_batch_on_exact_contacts():
+    """Face and corner contacts built from dyadic numbers, so `<` versus
+    `<=` decides each answer; one ulp inward must flip it."""
+    world, named, contacts, nudged = _exact_contacts()
+    face, corner, under = named["face"], named["corner"], named["under"]
+    walk = VolumeSpec(DiscFootprint(0.625), (0.0, 1.5))
+    crawl = VolumeSpec(RectFootprint(1.0, 0.5), (0.0, 0.5))
+    bar = VolumeSpec(DiscFootprint(0.625), (1.0, 1.5))
+    assert volume_clear(face, walk, world) and volume_clear(corner, walk, world)
+    assert not volume_clear(Pose(math.nextafter(face.x, 9.0), face.y, 0.0, 1.0), walk, world)
+    assert not volume_clear(Pose(corner.x, math.nextafter(corner.y, 0.0), 0.0, 1.0), walk, world)
+    # the raised bar only counts in its own band
+    assert volume_clear(under, bar, world)
+    assert not volume_clear(Pose(math.nextafter(under.x, 9.0), 4.0, 0.0, 1.0), bar, world)
+    assert volume_clear(named["rect_face"], crawl, world) and volume_clear(named["rect_corner"], crawl, world)
+    assert not volume_clear(Pose(math.nextafter(1.5, 9.0), 2.5, 0.0, 0.3), crawl, world)
+    disc = DiscFootprint(0.625)
+    rim = named["rim"]
+    assert floor_solid(rim, disc, world)
+    assert not floor_solid(Pose(2.5, math.nextafter(rim.y, 9.0), 0.0, 1.0), disc, world)
+    rect = RectFootprint(1.0, 0.5)
+    assert floor_solid(named["rect_rim"], rect, world)
+    assert not floor_solid(Pose(math.nextafter(1.5, 9.0), 5.5, 0.0, 0.3), rect, world)
+    # a footprint touching the world edge is inside; one ulp out is not
+    assert floor_solid(Pose(0.625, 7.0, 0.0, 1.0), disc, world)
+    assert floor_point_solid(2.0, 5.5, world) and not floor_point_solid(math.nextafter(2.0, 9.0), 5.5, world)
     _check_kernels_agree(world, contacts + nudged)
+
+
+# -- the pure-Python kernel layer -------------------------------------------
+
+
+def test_import_does_not_load_numpy():
+    src = Path(posgraph.__file__).resolve().parents[1]
+    code = "import posgraph, sys; assert 'numpy' not in sys.modules, 'posgraph imported numpy'"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    rng = random.Random(17)
+    cases = [
+        (0.0, 0.0, 5),
+        (-0.0, 0.0, 3),
+        (1.5, 1.5, 2),
+        (-2.25, -2.25, 9),
+        (3.0, -2.0, 2),
+        (0.0, 1.0, 2),
+        (0.0, 5e-324, 5),  # the step underflows to zero
+        (5e-324, 0.0, 7),
+    ]
+    for _ in range(3000):
+        a = rng.uniform(-20.0, 20.0)
+        kind = rng.randrange(4)
+        if kind == 0:
+            b = a  # equal endpoints
+        elif kind == 1:
+            b = a - rng.uniform(0.0, 10.0)  # a negative span
+        elif kind == 2:
+            b = math.nextafter(a, math.inf)
+        else:
+            b = rng.uniform(-20.0, 20.0)
+        cases.append((a, b, rng.choice((2, 3, rng.randint(2, 200)))))
+    for a, b, num in cases:
+        assert _bits(_linspace(a, b, num)) == _bits(np.linspace(a, b, num)), (a, b, num)
+
+
+def test_interpolate_poses_matches_numpy_bit_for_bit():
+    rng = random.Random(23)
+    for _ in range(500):
+        p0, p1 = (Pose(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-7, 7), rng.uniform(0, 2)) for _ in "ab")
+        n = rng.randint(1, 60)
+        xs, ys, ths, _ = interpolate_poses(p0, p1, n)
+        for got, want in zip((xs, ys, ths), reference_interpolate(p0, p1, n)):
+            assert _bits(got) == _bits(want), (p0, p1, n)
+
+
+def _random_sweeps(rng, world, count):
+    """Pose pairs from anywhere in (and just beyond) the world, with spans
+    from a few samples to several metres."""
+    (bx0, bx1), (by0, by1) = world.bounds_x, world.bounds_y
+    pairs = []
+    for _ in range(count):
+        p0 = Pose(rng.uniform(bx0 - 0.2, bx1 + 0.2), rng.uniform(by0 - 0.2, by1 + 0.2), rng.uniform(-3.2, 3.2), 1.0)
+        d = rng.uniform(0.0, rng.choice((0.05, 0.3, 1.0, 3.0)))
+        a = rng.uniform(-math.pi, math.pi)
+        p1 = Pose(p0.x + d * math.cos(a), p0.y + d * math.sin(a), rng.uniform(-3.2, 3.2), rng.uniform(0.3, 1.2))
+        pairs.append((p0, p1))
+    return pairs
+
+
+def _check_sweeps_agree(world, pairs, res=0.05):
+    """Every sweep kernel with its broad phase against the all-boxes numpy
+    reference; returns (blocked, clear) counts of the volume sweeps."""
+    outcomes = []
+    for p0, p1 in pairs:
+        for vol in KERNEL_VOLUMES:
+            want = reference_swept_clear(p0, p1, vol, world, res)
+            assert swept_clear(p0, p1, vol, world, res) == want, (p0, p1, vol)
+            outcomes.append(want)
+        # the two endpoints and a third placement as one scattered batch
+        mid = Pose(0.5 * (p0.x + p1.x) + 0.4, 0.5 * (p0.y + p1.y) - 0.3, p1.theta, 1.0)
+        xs, ys, ths = ([getattr(p, a) for p in (p0, mid, p1)] for a in ("x", "y", "theta"))
+        for vol in KERNEL_VOLUMES:
+            assert _volume_clear_batch(xs, ys, ths, vol, world) == reference_volume_clear_batch(xs, ys, ths, vol, world)
+        for fp in KERNEL_FOOTPRINTS:
+            want = all(_reference_floor_solid(p, fp, world) for p in (p0, mid, p1))
+            assert _floor_solid_batch(xs, ys, ths, fp, world) == want, (p0, p1, fp)
+        for apex in (0.0, 0.2, 0.6):
+            for radius in (0.35, 0.625):
+                want = reference_parabola_clear(p0, p1, apex, radius, world, res)
+                assert parabola_clear(p0, p1, apex, radius, world, res) == want, (p0, p1, apex, radius)
+    return outcomes.count(False), outcomes.count(True)
+
+
+def test_broad_phase_keeps_every_box_a_sample_hits():
+    """Sweeps, batches and arcs, each with one broad-phase pass, agree with
+    the numpy reference that tests every box: in the 160-box hallway, in
+    cluttered random worlds, and along exact face and corner contacts."""
+    rng = random.Random(31)
+    hallway = builtin_scenario("hallway").world
+    blocked, clear = _check_sweeps_agree(hallway, _random_sweeps(rng, hallway, 60))
+    assert blocked > 50 and clear > 50
+    for seed in range(4):
+        world = make_random_world(random.Random(200 + seed), with_gaps=True)
+        blocked, clear = _check_sweeps_agree(world, _random_sweeps(rng, world, 40))
+        assert blocked > 20 and clear > 20
+    world, _, contacts, nudged = _exact_contacts()
+    # sweeps that start at a contact and end on a nudged copy of it, or slide
+    # 0.1 along a world axis
+    pairs = [(p, q) for p in contacts for q in nudged if abs(q.x - p.x) < 1e-9 and abs(q.y - p.y) < 1e-9]
+    pairs += [(p, Pose(p.x + dx, p.y + dy, p.theta, p.h)) for p in contacts for dx, dy in ((0.1, 0), (0, 0.1), (-0.1, 0))]
+    _check_sweeps_agree(world, pairs)
+    xs, ys, ths = ([getattr(p, a) for p in contacts + nudged] for a in ("x", "y", "theta"))
+    for vol in KERNEL_VOLUMES:
+        assert _volume_clear_batch(xs, ys, ths, vol, world) == reference_volume_clear_batch(xs, ys, ths, vol, world)
 
 
 def test_robot_profile_apex_grid_validation():
