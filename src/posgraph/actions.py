@@ -253,11 +253,20 @@ class JumpAction:
         return False
 
     def edge_apex(self, p_launch: Pose, p_land: Pose) -> float | None:
-        """First apex rise from the profile grid giving a clear parabola, or None."""
+        """The jump's necessary condition: the first apex rise from the
+        profile grid giving a clear parabola, or None.
+
+        The span must be non-zero and within range, the launch must pass the
+        walk and the landing the crawl necessary condition, and the crawl
+        rectangle at touch-down must be supported (`confirm.landing_supported`,
+        the confirmation job's last test) before any parabola is probed.
+        """
         d = math.hypot(p_land.x - p_launch.x, p_land.y - p_launch.y)
         if d < 1e-9 or d > self.profile.jump_range_max + 1e-9:
             return None
         if not self._walk.necessary_vertex(p_launch) or not self._crawl.necessary_vertex(p_land):
+            return None
+        if not confirm.landing_supported(p_land, self.profile, self.world):
             return None
         for apex in self.profile.apex_grid:
             if parabola_clear(p_launch, p_land, apex, self.profile.r_jump, self.world, self.profile.res):

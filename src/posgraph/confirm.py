@@ -151,6 +151,16 @@ def solve_jump_bvp(p_launch: Pose, p_land: Pose, profile: RobotProfile) -> JumpT
     return JumpTrajectory(speed=speed, elevation=elevation, flight_time=T, points=points)
 
 
+def landing_supported(landing: Pose, profile: RobotProfile, world: WorldModel) -> bool:
+    """The crawl rectangle centred on the touch-down pose, aligned with its
+    heading, lies on solid floor.
+
+    It reads the landing pose alone, so the jump's necessary condition runs
+    it at insertion and its confirmation job runs it again as its last step.
+    """
+    return floor_solid(landing, RectFootprint(profile.crawl_len, profile.crawl_wid), world)
+
+
 # ---------------------------------------------------------------------------
 # jobs
 
@@ -265,8 +275,7 @@ class JumpConfirmJob:
                 self._cursor += k
                 budget -= k
             else:
-                # crawl rectangle centred on the touch-down point, aligned with the flight heading
-                ok = floor_solid(self.edge.pose_dst, RectFootprint(prof.crawl_len, prof.crawl_wid), world)
+                ok = landing_supported(self.edge.pose_dst, prof, world)
                 outcome = CONFIRMED if ok else REFUTED
                 return Verdict(self.job_id, self.edge, outcome, self._trajectory if ok else None)
         return None

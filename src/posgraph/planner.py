@@ -39,7 +39,11 @@ from .world import (
 
 
 class PlannerInputError(ValueError):
-    """Start or goal rejected before any search happened."""
+    """Start, goal or world rejected before any search happened."""
+
+
+def _finite_number(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
 
 
 @dataclass
@@ -69,10 +73,28 @@ class PlannerConfig:
             raise ValueError("planner config requires positive t_max/step and non-negative goal radius")
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError("planner config requires goal_bias in [0, 1]")
-        if self.workers < 1 or self.max_transitions_per_cycle < 1:
-            raise ValueError("planner config requires workers >= 1 and a positive transition cap")
+        if self.workers < 1:
+            raise ValueError("planner config requires workers >= 1")
+        cap = self.max_transitions_per_cycle
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise ValueError(f"planner config requires an int max_transitions_per_cycle >= 1, got {cap!r}")
         if not self.quanta_per_cycle >= 1:
             raise ValueError("planner config requires quanta_per_cycle >= 1")
+        w = self.metric_weights
+        if (
+            not isinstance(w, (tuple, list))
+            or len(w) != 4
+            or not all(_finite_number(x) and x >= 0 for x in w)
+            or not (w[0] > 0 and w[1] > 0)
+        ):
+            raise ValueError(
+                f"planner config requires metric_weights of four finite numbers >= 0, x and y > 0, got {w!r}"
+            )
+        # a negative surcharge makes negative-cost edges, which Dijkstra cannot handle
+        for name in ("transition_surcharge", "jump_surcharge"):
+            v = getattr(self, name)
+            if not (_finite_number(v) and v >= 0):
+                raise ValueError(f"planner config requires a finite {name} >= 0, got {v!r}")
 
 
 @dataclass
@@ -116,6 +138,12 @@ class Planner:
         self.trajectories: dict[int, confirm_mod.JumpTrajectory] = {}
         self.events: list[str] = []
         self._gait_tags = [a.tag for a in self.actions if isinstance(a, GaitAction)]
+        # connect lays at most one world diagonal of gait steps, plus slack
+        diagonal = math.hypot(world.bounds_x[1] - world.bounds_x[0], world.bounds_y[1] - world.bounds_y[0])
+        steps = diagonal / self.config.step
+        if not math.isfinite(steps):
+            raise PlannerInputError(f"world diagonal over step {self.config.step} is not a finite number of steps")
+        self._chain_limit = math.ceil(steps) + 4
 
     # -- setup ------------------------------------------------------------
 
@@ -186,17 +214,7 @@ class Planner:
         g = self.graph
         new_ids: list[int] = []
         last_id = from_id
-        limit = (
-            math.ceil(
-                math.hypot(
-                    self.world.bounds_x[1] - self.world.bounds_x[0],
-                    self.world.bounds_y[1] - self.world.bounds_y[0],
-                )
-                / action.step
-            )
-            + 4
-        )
-        for _ in range(limit):
+        for _ in range(self._chain_limit):
             last_pose = g.vertices[last_id].pose
             vp = action.project(action.extend_towards(last_pose, target))
             if pose_distance(last_pose, vp, (1, 1, 0, 1)) < 1e-9:

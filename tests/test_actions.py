@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from posgraph import Box, GapRect, Pose, WorldModel, build_actions
+from posgraph import BUILTIN_NAMES, Box, GapRect, Planner, PlannerConfig, Pose, WorldModel, build_actions
+from posgraph import confirm
 from posgraph.actions import (
     GaitAction,
     JumpAction,
@@ -12,6 +13,9 @@ from posgraph.actions import (
     graph_checks,
     transition_feasible,
 )
+from posgraph.confirm import REFUTED, EdgeSnapshot, JumpConfirmJob, run_to_verdict
+from posgraph.graph import TAG_JUMP
+from posgraph.scenarios import builtin_scenario
 
 from conftest import make_random_world, random_pose
 
@@ -206,6 +210,85 @@ def test_edge_apex_rejects_bad_geometry(open_world, profile):
     assert bjump.edge_apex(Pose(4.5, 3, 0, 1.0), Pose(5.7, 3, 0, 0.3)) is None
     # arc through the bar fails even with clean endpoints
     assert bjump.edge_apex(Pose(3.8, 3, 0, 1.0), Pose(5.3, 3, 0, 0.3)) is None
+    gapped = WorldModel((0, 10), (0, 4), [], [GapRect((2.3, 2.9), (0, 4))])
+    gjump = build_actions(["jump"], profile, gapped)[0]
+    assert gjump.edge_apex(Pose(2.05, 2, 0, 1.0), Pose(3.35, 2, 0, 0.3)) is not None
+    # the landing centre stands on floor, but the crawl rectangle [2.85, 3.75]
+    # leans over the gap edge at 2.9
+    assert gjump.edge_apex(Pose(2.05, 2, 0, 1.0), Pose(3.30, 2, 0, 0.3)) is None
+
+
+# -- landing support: soundness of the jump's necessary condition -----------
+
+
+def record_landing_rejections(monkeypatch) -> dict:
+    """Patch JumpAction.edge_apex and confirm.landing_supported so that every
+    (launch, landing) pair that edge_apex turns away on landing support is
+    recorded, keyed by the pair and the world, with its profile and world."""
+    rejected = {}
+    judging = []
+    edge_apex = JumpAction.edge_apex
+    landing_supported = confirm.landing_supported
+
+    def judged_edge_apex(self, p_launch, p_land):
+        judging.append((p_launch, p_land))
+        try:
+            return edge_apex(self, p_launch, p_land)
+        finally:
+            judging.pop()
+
+    def recorded_landing_supported(landing, profile, world):
+        ok = landing_supported(landing, profile, world)
+        if not ok and judging:
+            launch, land = judging[-1]
+            rejected[(launch, land, id(world))] = (launch, land, profile, world)
+        return ok
+
+    monkeypatch.setattr(JumpAction, "edge_apex", judged_edge_apex)
+    monkeypatch.setattr(confirm, "landing_supported", recorded_landing_supported)
+    return rejected
+
+
+def assert_jobs_refute(rejected: dict):
+    for launch, landing, profile, world in rejected.values():
+        job = JumpConfirmJob(EdgeSnapshot(0, TAG_JUMP, 0, 1, launch, landing, 0.0), profile)
+        assert run_to_verdict(job, world).outcome == REFUTED, (launch, landing)
+
+
+def test_landing_rejections_on_builtins_are_refuted_by_their_jobs(monkeypatch):
+    rejected = record_landing_rejections(monkeypatch)
+    for name in BUILTIN_NAMES:
+        sc = builtin_scenario(name)
+        for seed in range(10):
+            config = PlannerConfig(t_max=60.0, seed=seed)
+            assert Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, config).find_path()
+    assert rejected
+    monkeypatch.undo()
+    assert_jobs_refute(rejected)
+
+
+def test_landing_rejections_on_random_worlds_are_refuted_by_their_jobs(profile, monkeypatch):
+    rng = random.Random(17)
+    rejected = record_landing_rejections(monkeypatch)
+    for _ in range(30):
+        world = make_random_world(rng, with_gaps=True)
+        jump = build_actions(["jump"], profile, world)[0]
+        for _ in range(60):
+            # land near a gap edge where there is one, as jumps over gaps do
+            if world.gaps and rng.random() < 0.7:
+                gap = rng.choice(world.gaps)
+                x = rng.uniform(gap.x[0] - 0.6, gap.x[1] + 0.6)
+                y = rng.uniform(gap.y[0] - 0.6, gap.y[1] + 0.6)
+            else:
+                x, y = rng.uniform(0.0, 10.0), rng.uniform(0.0, 8.0)
+            heading = rng.uniform(-math.pi, math.pi)
+            span = rng.uniform(0.2, profile.jump_range_max)
+            landing = Pose(x, y, heading, profile.h_crawl)
+            launch = Pose(x - span * math.cos(heading), y - span * math.sin(heading), heading, profile.h_walk)
+            jump.edge_apex(launch, landing)
+    assert len(rejected) >= 20
+    monkeypatch.undo()
+    assert_jobs_refute(rejected)
 
 
 # -- assembly -------------------------------------------------------------

@@ -202,6 +202,15 @@ def test_bad_apex_grid_exits_one_without_traceback(tmp_path, capsys, grid):
     assert "Traceback" not in err
 
 
+def test_unbounded_world_diagonal_exits_one_without_traceback(tmp_path, capsys):
+    # the chain limit of connect, ceil(diagonal / step), overflowed mid-search
+    scn = small_scenario_file(tmp_path, bounds={"x": [0, 1e308], "y": [0, 4]})
+    assert main(solve_args(scn)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: world diagonal")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value", [("stride", 0), ("stride", -0.4), ("res", float("inf")), ("r_jump", float("nan"))])
 def test_bad_profile_number_exits_one_at_once(tmp_path, capsys, field, value):
     # three_routes_b spawns gait confirmation jobs, whose foothold loop never

@@ -249,11 +249,33 @@ def test_input_errors(profile):
         {"goal_bias": -0.1},
         {"goal_bias": 1.5},
         {"goal_bias": math.nan},
+        # two weights raised IndexError mid-search; a NaN weight made every
+        # distance NaN and "nearest" arbitrary
+        {"metric_weights": (1, 1)},
+        {"metric_weights": (1, 1, 0.3, 1, 1)},
+        {"metric_weights": (math.nan, 1, 0.3, 1)},
+        {"metric_weights": (1, math.inf, 0.3, 1)},
+        {"metric_weights": (0, 1, 0.3, 1)},
+        {"metric_weights": (1, 0, 0.3, 1)},
+        {"metric_weights": (1, 1, -0.3, 1)},
+        {"metric_weights": (1, 1, 0.3, "1")},
+        {"metric_weights": (1, True, 0.3, 1)},
+        {"metric_weights": 1.0},
+        # a negative surcharge gives negative-cost edges, which Dijkstra cannot handle
+        {"transition_surcharge": -0.5},
+        {"transition_surcharge": math.nan},
+        {"jump_surcharge": -1.0},
+        {"jump_surcharge": math.inf},
+        # a float cap raised TypeError mid-search
+        {"max_transitions_per_cycle": 2.5},
+        {"max_transitions_per_cycle": True},
+        {"max_transitions_per_cycle": 0},
     ):
         with pytest.raises(ValueError, match="planner config requires"):
             PlannerConfig(**bad)
     PlannerConfig(quanta_per_cycle=1, goal_bias=0.0, goal_radius=0.0)
     PlannerConfig(goal_bias=1.0, t_max=math.inf)
+    PlannerConfig(metric_weights=(1, 1, 0, 0), transition_surcharge=0, jump_surcharge=0.0, max_transitions_per_cycle=1)
 
 
 # -- end to end -----------------------------------------------------------
