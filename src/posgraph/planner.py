@@ -75,11 +75,10 @@ class PlannerConfig:
             raise ValueError("planner config requires goal_bias in [0, 1]")
         if self.workers < 1:
             raise ValueError("planner config requires workers >= 1")
-        cap = self.max_transitions_per_cycle
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise ValueError(f"planner config requires an int max_transitions_per_cycle >= 1, got {cap!r}")
-        if not self.quanta_per_cycle >= 1:
-            raise ValueError("planner config requires quanta_per_cycle >= 1")
+        for name in ("max_transitions_per_cycle", "quanta_per_cycle"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(f"planner config requires an int {name} >= 1, got {v!r}")
         w = self.metric_weights
         if (
             not isinstance(w, (tuple, list))

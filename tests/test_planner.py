@@ -270,6 +270,8 @@ def test_input_errors(profile):
         {"max_transitions_per_cycle": 2.5},
         {"max_transitions_per_cycle": True},
         {"max_transitions_per_cycle": 0},
+        # a float quanta count ran the next whole number of quanta
+        {"quanta_per_cycle": 2.5},
     ):
         with pytest.raises(ValueError, match="planner config requires"):
             PlannerConfig(**bad)
