@@ -8,7 +8,7 @@ lazily, and only when a candidate start-to-goal path appears.
 from .actions import GaitAction, JumpAction, build_actions
 from .confirm import ConfirmationError, ConfirmationQueue, JumpTrajectory, solve_jump_bvp
 from .graph import EdgeStatus, PathResult, PossibilityGraph
-from .planner import Planner, PlannerConfig, PlannerInputError, find_path
+from .planner import Planner, PlannerConfig, PlannerInputError
 from .render import render_svg
 from .scenarios import (
     BUILTIN_NAMES,
@@ -44,7 +44,6 @@ __all__ = [
     "build_actions",
     "builtin_scenario",
     "emit_scenario",
-    "find_path",
     "parse_scenario",
     "pose_distance",
     "render_svg",

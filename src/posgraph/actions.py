@@ -30,6 +30,10 @@ from .world import (
     volume_clear,
 )
 
+# planar length of one gait extension step, and the most h changes in one step
+STEP = 0.3
+
+
 class TransitionQueue:
     """Vertices offered to an action for posture transitions.
 
@@ -74,13 +78,12 @@ def transition_feasible(pose: Pose, profile: RobotProfile, world: WorldModel) ->
 class GaitAction:
     """A holonomic gait (walk or crawl) tied to one posture band."""
 
-    def __init__(self, tag: str, profile: RobotProfile, world: WorldModel, step: float = 0.3):
+    def __init__(self, tag: str, profile: RobotProfile, world: WorldModel):
         if tag not in (TAG_WALK, TAG_CRAWL):
             raise ValueError(f"gait tag must be walk or crawl, got {tag!r}")
         self.tag = tag
         self.profile = profile
         self.world = world
-        self.step = step
         self.queue = TransitionQueue()
         p = profile
         if tag == TAG_WALK:
@@ -178,15 +181,15 @@ class GaitAction:
         d = math.hypot(dx, dy)
         if d < 1e-12:
             nx, ny, th = p0.x, p0.y, p0.theta
-        elif d <= self.step:
+        elif d <= STEP:
             nx, ny = target.x, target.y
             th = math.atan2(dy, dx)
         else:
-            nx = p0.x + dx / d * self.step
-            ny = p0.y + dy / d * self.step
+            nx = p0.x + dx / d * STEP
+            ny = p0.y + dy / d * STEP
             th = math.atan2(dy, dx)
         dh = self.nominal_h - p0.h
-        nh = self.nominal_h if abs(dh) <= self.step else p0.h + math.copysign(self.step, dh)
+        nh = self.nominal_h if abs(dh) <= STEP else p0.h + math.copysign(STEP, dh)
         return Pose(nx, ny, th, nh)
 
     def project(self, pose: Pose) -> Pose:
@@ -337,7 +340,6 @@ def build_actions(
     names: list[str] | tuple[str, ...],
     profile: RobotProfile,
     world: WorldModel,
-    step: float = 0.3,
 ) -> list[Action]:
     """Instantiate enabled actions in canonical order (walk, crawl, jump).
 
@@ -350,8 +352,8 @@ def build_actions(
         raise ValueError(f"unknown actions: {sorted(unknown)}")
     if not wanted:
         raise ValueError("at least one action must be enabled")
-    walk = GaitAction(TAG_WALK, profile, world, step)
-    crawl = GaitAction(TAG_CRAWL, profile, world, step)
+    walk = GaitAction(TAG_WALK, profile, world)
+    crawl = GaitAction(TAG_CRAWL, profile, world)
     out: list[Action] = []
     for name in ACTION_ORDER:
         if name not in wanted:

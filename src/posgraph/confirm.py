@@ -302,7 +302,7 @@ confirm_gait_edge = confirm_jump_edge = run_to_verdict
 class ConfirmationQueue:
     """FIFO of resumable jobs plus a verdict outbox.
 
-    step() runs jobs in quanta of at most `quantum` collision checks on the
+    step() runs jobs in quanta of at most QUANTUM collision checks on the
     calling thread and sends unfinished jobs to the back of the line: with k
     pending jobs needing q quanta each, no job waits more than k*q quanta.
     Given the submit order, the schedule is deterministic.
@@ -310,9 +310,10 @@ class ConfirmationQueue:
     A job that raises makes step() raise a ConfirmationError naming its edge.
     """
 
-    def __init__(self, world: WorldModel, quantum: int = 1000):
+    QUANTUM = 1000
+
+    def __init__(self, world: WorldModel):
         self.world = world
-        self.quantum = quantum
         self._pending: deque[ConfirmationJob] = deque()
         self._verdicts: list[Verdict] = []
         self._next_job_id = 0
@@ -332,7 +333,7 @@ class ConfirmationQueue:
         while ran < max_quanta and self._pending:
             job = self._pending.popleft()
             try:
-                verdict = job.step(self.quantum, self.world)
+                verdict = job.step(self.QUANTUM, self.world)
             except Exception as exc:
                 raise ConfirmationError(
                     f"confirmation job {job.job_id} for {job.edge.tag} edge {job.edge.edge_id} raised {exc!r}"

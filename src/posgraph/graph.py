@@ -30,6 +30,10 @@ _Q_XY = 0.01
 _Q_TH = 0.01
 _Q_H = 0.01
 
+# cost added to the length of a posture transition and of a jump
+TRANSITION_SURCHARGE = 0.5
+JUMP_SURCHARGE = 1.0
+
 
 class EdgeStatus(str, Enum):
     SUFFICIENT = "sufficient-confirmed"
@@ -130,15 +134,8 @@ class PossibilityGraph:
         validation (handy in unit tests).
     """
 
-    def __init__(
-        self,
-        checks: dict[str, TagChecks] | None = None,
-        transition_surcharge: float = 0.5,
-        jump_surcharge: float = 1.0,
-    ):
+    def __init__(self, checks: dict[str, TagChecks] | None = None):
         self.checks = checks or {}
-        self.transition_surcharge = transition_surcharge
-        self.jump_surcharge = jump_surcharge
         self.vertices: dict[int, VertexRecord] = {}
         self.edges: dict[int, EdgeRecord] = {}
         self.start_id: int | None = None
@@ -159,10 +156,6 @@ class PossibilityGraph:
 
     # -- bookkeeping ------------------------------------------------------
 
-    @property
-    def version(self) -> int:
-        return self._version
-
     def _bump(self):
         self._version += 1
 
@@ -176,19 +169,17 @@ class PossibilityGraph:
             return len(self.vertices)
         return len(self._tag_vertices.get(tag, ()))
 
-    def edge_count(self, tag: str | None = None) -> int:
-        if tag is None:
-            return len(self.edges)
-        return sum(1 for e in self.edges.values() if e.tag == tag)
+    def edge_count(self) -> int:
+        return len(self.edges)
 
     # -- vertices ---------------------------------------------------------
 
-    def insert_vertex(self, pose: Pose, tag: str, dedup: bool = True) -> int:
+    def insert_vertex(self, pose: Pose, tag: str) -> int:
         """Add a vertex on the tagged manifold; re-asserts the vertex condition.
 
-        With dedup on, a pose landing within registry quantization of an
-        existing same-tag vertex (heading ignored) reuses that vertex, which is
-        what lets independently grown chains knit together.
+        A pose landing within registry quantization of an existing same-tag
+        vertex (heading ignored) reuses that vertex, which is what lets
+        independently grown chains knit together.
         """
         if tag not in VERTEX_TAGS:
             raise ValueError(f"unknown vertex tag {tag!r}")
@@ -196,7 +187,7 @@ class PossibilityGraph:
         if chk and chk.vertex and not chk.vertex(pose):
             raise ConditionViolation(f"vertex pose fails necessary condition for {tag!r}: {pose}")
         key = (tag, _qv(pose.x, _Q_XY), _qv(pose.y, _Q_XY), _qv(pose.h, _Q_H))
-        if dedup and key in self._vertex_keys:
+        if key in self._vertex_keys:
             return self._vertex_keys[key]
         vid = self._next_vid
         self._next_vid += 1
@@ -205,8 +196,7 @@ class PossibilityGraph:
         self._in[vid] = []
         self._tag_vertices[tag].append(vid)
         self._uf[tag].add(vid)
-        if dedup:
-            self._vertex_keys[key] = vid
+        self._vertex_keys[key] = vid
         self._bump()
         return vid
 
@@ -215,9 +205,9 @@ class PossibilityGraph:
     def _edge_cost(self, p0: Pose, p1: Pose, tag: str) -> float:
         length = math.sqrt((p1.x - p0.x) ** 2 + (p1.y - p0.y) ** 2 + (p1.h - p0.h) ** 2)
         if tag == TAG_TRANSITION:
-            return length + self.transition_surcharge
+            return length + TRANSITION_SURCHARGE
         if tag == TAG_JUMP:
-            return length + self.jump_surcharge
+            return length + JUMP_SURCHARGE
         return length
 
     def edge_blocked(self, tag: str, p0: Pose, p1: Pose) -> bool:
@@ -390,14 +380,6 @@ class PossibilityGraph:
         self._reach_cache["goal"] = (self._version, result)
         return result
 
-    def reachability_label(self, vid: int, direction: str) -> bool:
-        """direction: 'from-start' or 'to-goal'."""
-        if direction == "from-start":
-            return vid in self.start_reachable_set()
-        if direction == "to-goal":
-            return vid in self.goal_reaching_set()
-        raise ValueError(f"unknown direction {direction!r}")
-
     def connected(self, src: int, dst: int) -> bool:
         """Directed reachability src -> dst over all live edges."""
         if src not in self.vertices or dst not in self.vertices:
@@ -449,12 +431,7 @@ class PossibilityGraph:
         eids.reverse()
         return PathResult(tuple(verts), tuple(eids), dist[dst])
 
-    def subgraph_closest(
-        self,
-        tag: str,
-        target: Pose,
-        weights: tuple[float, float, float, float] = DEFAULT_METRIC_WEIGHTS,
-    ) -> list[_ClosestEntry]:
+    def subgraph_closest(self, tag: str, target: Pose) -> list[_ClosestEntry]:
         """Per-component nearest vertex to target, sorted ascending by distance
         (ties toward the lower vertex id)."""
         best: dict[int, tuple[float, int]] = {}
@@ -462,7 +439,7 @@ class PossibilityGraph:
         for root, vids in comps.items():
             b = None
             for vid in vids:
-                d = pose_distance(self.vertices[vid].pose, target, weights)
+                d = pose_distance(self.vertices[vid].pose, target)
                 if b is None or d < b[0] or (d == b[0] and vid < b[1]):
                     b = (d, vid)
             best[root] = b

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import confirm as confirm_mod
-from .actions import Action, GaitAction, JumpAction, build_actions, graph_checks
+from .actions import STEP, Action, GaitAction, JumpAction, build_actions, graph_checks
 from .confirm import CONFIRMED, ConfirmationQueue, EdgeSnapshot
 from .graph import (
     EdgeStatus,
@@ -28,7 +28,6 @@ from .graph import (
     VERTEX_TAGS,
 )
 from .world import (
-    DEFAULT_METRIC_WEIGHTS,
     Pose,
     RobotProfile,
     WorldModel,
@@ -42,58 +41,45 @@ class PlannerInputError(ValueError):
     """Start, goal or world rejected before any search happened."""
 
 
-def _finite_number(x) -> bool:
-    return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+# queued foreign vertices an action tries to transition from per cycle
+MAX_TRANSITIONS_PER_CYCLE = 5
+# planar distance within which a new vertex is tied to a same-manifold goal
+GOAL_RADIUS = 0.3
+# share of growth targets that are a goal pose instead of a uniform sample
+GOAL_BIAS = 0.1
+# confirmation-job quanta run at the start of every cycle
+QUANTA_PER_CYCLE = 8
+
+
+def _plain_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass
 class PlannerConfig:
-    """Search budget and tuning knobs.
+    """The solve budget: wall-clock limit and random seed.
 
-    Confirmation jobs run on the planner's own thread, `quanta_per_cycle`
-    quanta per cycle. `workers` no longer has any effect; it is kept, and
-    still checked to be >= 1, so that existing callers keep working.
+    `t_max` is in seconds and may be `math.inf`; the same `seed` gives the
+    same graph, event log and path. `workers` has no effect, since
+    confirmation jobs run on the planner's own thread; it is kept, and still
+    checked to be >= 1, so that existing callers keep working. The tuning
+    values are module constants: `STEP` in `actions`, the surcharges in
+    `graph`, `ConfirmationQueue.QUANTUM` in `confirm`, the metric weights in
+    `world` and the per-cycle caps, goal radius and goal bias here.
     """
 
     t_max: float = 60.0
-    max_transitions_per_cycle: int = 5
-    goal_radius: float = 0.3
     seed: int = 0
     workers: int = 1
-    step: float = 0.3
-    goal_bias: float = 0.1
-    quanta_per_cycle: int = 8
-    metric_weights: tuple[float, float, float, float] = DEFAULT_METRIC_WEIGHTS
-    transition_surcharge: float = 0.5
-    jump_surcharge: float = 1.0
 
     def __post_init__(self):
         # written as `not x > 0` so that NaN fails too
-        if not self.t_max > 0 or not self.step > 0 or not self.goal_radius >= 0:
-            raise ValueError("planner config requires positive t_max/step and non-negative goal radius")
-        if not 0.0 <= self.goal_bias <= 1.0:
-            raise ValueError("planner config requires goal_bias in [0, 1]")
-        if self.workers < 1:
-            raise ValueError("planner config requires workers >= 1")
-        for name in ("max_transitions_per_cycle", "quanta_per_cycle"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValueError(f"planner config requires an int {name} >= 1, got {v!r}")
-        w = self.metric_weights
-        if (
-            not isinstance(w, (tuple, list))
-            or len(w) != 4
-            or not all(_finite_number(x) and x >= 0 for x in w)
-            or not (w[0] > 0 and w[1] > 0)
-        ):
-            raise ValueError(
-                f"planner config requires metric_weights of four finite numbers >= 0, x and y > 0, got {w!r}"
-            )
-        # a negative surcharge makes negative-cost edges, which Dijkstra cannot handle
-        for name in ("transition_surcharge", "jump_surcharge"):
-            v = getattr(self, name)
-            if not (_finite_number(v) and v >= 0):
-                raise ValueError(f"planner config requires a finite {name} >= 0, got {v!r}")
+        if isinstance(self.t_max, bool) or not isinstance(self.t_max, (int, float)) or not self.t_max > 0:
+            raise ValueError(f"planner config requires a number t_max > 0, got {self.t_max!r}")
+        if not _plain_int(self.seed):
+            raise ValueError(f"planner config requires an int seed, got {self.seed!r}")
+        if not _plain_int(self.workers) or self.workers < 1:
+            raise ValueError(f"planner config requires an int workers >= 1, got {self.workers!r}")
 
 
 @dataclass
@@ -124,13 +110,9 @@ class Planner:
         self.goal_poses = list(goals)
         if not self.goal_poses:
             raise PlannerInputError("at least one goal pose is required")
-        self.actions: list[Action] = build_actions(action_names, profile, world, self.config.step)
+        self.actions: list[Action] = build_actions(action_names, profile, world)
         self.actions_by_tag = {a.tag: a for a in self.actions}
-        self.graph = PossibilityGraph(
-            checks=graph_checks(self.actions, profile, world),
-            transition_surcharge=self.config.transition_surcharge,
-            jump_surcharge=self.config.jump_surcharge,
-        )
+        self.graph = PossibilityGraph(checks=graph_checks(self.actions, profile, world))
         self.queue = ConfirmationQueue(world)
         self.rng = random.Random(self.config.seed)
         self.stats = PlannerStats()
@@ -139,9 +121,9 @@ class Planner:
         self._gait_tags = [a.tag for a in self.actions if isinstance(a, GaitAction)]
         # connect lays at most one world diagonal of gait steps, plus slack
         diagonal = math.hypot(world.bounds_x[1] - world.bounds_x[0], world.bounds_y[1] - world.bounds_y[0])
-        steps = diagonal / self.config.step
+        steps = diagonal / STEP
         if not math.isfinite(steps):
-            raise PlannerInputError(f"world diagonal over step {self.config.step} is not a finite number of steps")
+            raise PlannerInputError(f"world diagonal over step {STEP} is not a finite number of steps")
         self._chain_limit = math.ceil(steps) + 4
 
     # -- setup ------------------------------------------------------------
@@ -182,7 +164,7 @@ class Planner:
         """Pop up to the per-cycle cap of queued foreign vertices and try to
         transition from each onto this action's manifold."""
         new_ids: list[int] = []
-        cap = min(self.config.max_transitions_per_cycle, len(action.queue))
+        cap = min(MAX_TRANSITIONS_PER_CYCLE, len(action.queue))
         for _ in range(cap):
             vid = action.queue.pop_random(self.rng)
             v = self.graph.vertices.get(vid)
@@ -259,7 +241,7 @@ class Planner:
     def grow_holonomic(self, action: GaitAction, target: Pose) -> list[int]:
         """Two-sided growth: extend the nearest component toward the target,
         then pull the next eligible component toward whatever was just built."""
-        entries = self.graph.subgraph_closest(action.tag, target, self.config.metric_weights)
+        entries = self.graph.subgraph_closest(action.tag, target)
         if not entries:
             return []
         first = entries[0]
@@ -290,7 +272,7 @@ class Planner:
             for tag in VERTEX_TAGS
             for vid in g._tag_vertices[tag]
         ]
-        cands.sort(key=lambda vid: (pose_distance(g.vertices[vid].pose, target, self.config.metric_weights), vid))
+        cands.sort(key=lambda vid: (pose_distance(g.vertices[vid].pose, target), vid))
         useful = {vid: True for vid in cands}
         start_set = g.start_reachable_set()
         goal_set = g.goal_reaching_set()
@@ -351,7 +333,7 @@ class Planner:
     def _sample_target(self) -> Pose:
         """Uniform sample over the world, occasionally biased to a goal so
         growth keeps pulling toward it."""
-        if self.rng.random() < self.config.goal_bias:
+        if self.rng.random() < GOAL_BIAS:
             gid = self.rng.choice(self.graph.goal_ids)
             return self.graph.vertices[gid].pose
         return sample_pose(self.world, self.rng)
@@ -374,7 +356,7 @@ class Planner:
                 gv = g.vertices[gid]
                 if gv.tag != v.tag:
                     continue
-                if math.hypot(gv.pose.x - v.pose.x, gv.pose.y - v.pose.y) > self.config.goal_radius:
+                if math.hypot(gv.pose.x - v.pose.x, gv.pose.y - v.pose.y) > GOAL_RADIUS:
                     continue
                 g.insert_edge(vid, gid, v.tag, self._gait_status(v.tag, vid, gid), True, cost=0.0)
 
@@ -450,7 +432,7 @@ class Planner:
             # a cycle, and unbounded memos cost memory on long solves
             for action in self.actions:
                 action.clear_memos()
-            self.queue.step(self.config.quanta_per_cycle)
+            self.queue.step(QUANTA_PER_CYCLE)
             self._apply_verdicts()
             for action in self.actions:
                 if time.monotonic() >= deadline:
@@ -508,14 +490,3 @@ class Planner:
     def event_log(self) -> str:
         return "\n".join(self.events) + "\n"
 
-
-def find_path(
-    world: WorldModel,
-    profile: RobotProfile,
-    start: Pose,
-    goals: list[Pose],
-    actions: list[str] | tuple[str, ...],
-    config: PlannerConfig | None = None,
-) -> PathResult | None:
-    """Convenience wrapper: build a planner, run it, return the result."""
-    return Planner(world, profile, start, goals, actions, config).find_path()

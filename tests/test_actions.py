@@ -20,8 +20,8 @@ from posgraph.scenarios import builtin_scenario
 from conftest import make_random_world, random_pose
 
 
-def gait(world, profile, tag, step=0.3):
-    return GaitAction(tag, profile, world, step)
+def gait(world, profile, tag):
+    return GaitAction(tag, profile, world)
 
 
 # -- necessary vs sufficient ----------------------------------------------

@@ -66,13 +66,6 @@ def test_vertex_dedup_ignores_heading():
     assert g.vertex_count() == 3
 
 
-def test_vertex_dedup_can_be_disabled():
-    g = PossibilityGraph()
-    a = g.insert_vertex(Pose(1, 1, 0, 1.0), TAG_WALK)
-    b = g.insert_vertex(Pose(1, 1, 0, 1.0), TAG_WALK, dedup=False)
-    assert a != b
-
-
 def test_insert_vertex_reasserts_condition():
     checks = {TAG_WALK: TagChecks(vertex=lambda p: p.x < 5.0)}
     g = PossibilityGraph(checks=checks)
@@ -211,11 +204,10 @@ def test_directed_reachability_with_one_way_edge():
     assert b in g.start_reachable_set()
     assert b in g.goal_reaching_set()
     assert a not in g.reachable_from(b)
-    assert g.reachability_label(b, "from-start")
-    assert g.reachability_label(a, "to-goal")  # a reaches b over the jump
+    assert a in g.goal_reaching_set()  # a reaches b over the jump
     c = g.insert_vertex(Pose(5, 5, 0, 1.0), TAG_WALK)
-    assert not g.reachability_label(c, "from-start")
-    assert not g.reachability_label(c, "to-goal")
+    assert c not in g.start_reachable_set()
+    assert c not in g.goal_reaching_set()
 
 
 def test_reachability_cache_invalidated_by_mutation():
@@ -235,10 +227,8 @@ def test_shortest_path_matches_enumeration_oracle():
     rng = random.Random(9)
     for trial in range(25):
         g = PossibilityGraph()
-        vids = [
-            g.insert_vertex(Pose(rng.uniform(0, 9), rng.uniform(0, 9), 0, 1.0), TAG_WALK, dedup=False)
-            for _ in range(7)
-        ]
+        vids = [g.insert_vertex(Pose(rng.uniform(0, 9), rng.uniform(0, 9), 0, 1.0), TAG_WALK) for _ in range(7)]
+        assert len(set(vids)) == 7  # no pose fell into another's dedup cell
         for _ in range(12):
             a, b = rng.sample(vids, 2)
             g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, rng.random() < 0.7)
@@ -342,10 +332,8 @@ def test_dump_format_and_determinism():
 def test_audit_passes_on_random_graph():
     rng = random.Random(2)
     g = PossibilityGraph()
-    vids = [
-        g.insert_vertex(Pose(rng.uniform(0, 9), rng.uniform(0, 9), 0, 1.0), TAG_WALK, dedup=False)
-        for _ in range(10)
-    ]
+    vids = [g.insert_vertex(Pose(rng.uniform(0, 9), rng.uniform(0, 9), 0, 1.0), TAG_WALK) for _ in range(10)]
+    assert len(set(vids)) == 10  # no pose fell into another's dedup cell
     for _ in range(15):
         a, b = rng.sample(vids, 2)
         g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True)

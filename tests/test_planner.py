@@ -14,7 +14,8 @@ from posgraph import (
     Pose,
     WorldModel,
 )
-from posgraph.graph import TAG_CRAWL, TAG_JUMP, TAG_TRANSITION, TAG_WALK
+from posgraph.graph import TAG_CRAWL, TAG_JUMP, TAG_TRANSITION, TAG_WALK, TRANSITION_SURCHARGE
+from posgraph.planner import MAX_TRANSITIONS_PER_CYCLE
 
 
 def make_planner(world, profile, start, goal, actions, **cfg):
@@ -81,7 +82,7 @@ def test_transitions_capped_and_layered_as_sufficient_pairs(profile):
         walk.queue.add(vid)
     assert len(walk.queue) == 8
     new = pl.perform_transitions(walk)
-    assert len(new) == pl.config.max_transitions_per_cycle == 5
+    assert len(new) == MAX_TRANSITIONS_PER_CYCLE == 5
     assert len(walk.queue) == 3
     for vid in new:
         v = pl.graph.vertices[vid]
@@ -91,7 +92,7 @@ def test_transitions_capped_and_layered_as_sufficient_pairs(profile):
     for e in trans:
         assert e.status == EdgeStatus.SUFFICIENT
         assert e.twin is not None
-        assert e.cost == pytest.approx(0.7 + pl.config.transition_surcharge)
+        assert e.cost == pytest.approx(0.7 + TRANSITION_SURCHARGE)
 
 
 # -- jump seeding ---------------------------------------------------------
@@ -234,50 +235,28 @@ def test_input_errors(profile):
         make_planner(open_w, profile, Pose(1, 1, 0, 1.0), Pose(9, 7, 0, 1.0), ["walk"])._init_endpoints()
     with pytest.raises(PlannerInputError, match="goal"):
         Planner(open_w, profile, Pose(1, 1, 0, 1.0), [], ["walk"], PlannerConfig())
-    with pytest.raises(ValueError):
-        PlannerConfig(workers=0)
-    with pytest.raises(ValueError):
-        PlannerConfig(t_max=0)
-    # quanta_per_cycle=0 left every job pending until t_max, and a NaN t_max
-    # ran no cycle at all
+    # a NaN t_max ran no cycle at all; t_max=True ran a 1 s budget and
+    # "5" raised TypeError; seed=None seeded from OS entropy, so repeated
+    # solves differed
     for bad in (
-        {"quanta_per_cycle": 0},
-        {"quanta_per_cycle": -2},
+        {"workers": 0},
+        {"workers": 1.0},
+        {"workers": True},
+        {"t_max": 0},
+        {"t_max": -1.0},
         {"t_max": math.nan},
-        {"step": math.nan},
-        {"goal_radius": math.nan},
-        {"goal_bias": -0.1},
-        {"goal_bias": 1.5},
-        {"goal_bias": math.nan},
-        # two weights raised IndexError mid-search; a NaN weight made every
-        # distance NaN and "nearest" arbitrary
-        {"metric_weights": (1, 1)},
-        {"metric_weights": (1, 1, 0.3, 1, 1)},
-        {"metric_weights": (math.nan, 1, 0.3, 1)},
-        {"metric_weights": (1, math.inf, 0.3, 1)},
-        {"metric_weights": (0, 1, 0.3, 1)},
-        {"metric_weights": (1, 0, 0.3, 1)},
-        {"metric_weights": (1, 1, -0.3, 1)},
-        {"metric_weights": (1, 1, 0.3, "1")},
-        {"metric_weights": (1, True, 0.3, 1)},
-        {"metric_weights": 1.0},
-        # a negative surcharge gives negative-cost edges, which Dijkstra cannot handle
-        {"transition_surcharge": -0.5},
-        {"transition_surcharge": math.nan},
-        {"jump_surcharge": -1.0},
-        {"jump_surcharge": math.inf},
-        # a float cap raised TypeError mid-search
-        {"max_transitions_per_cycle": 2.5},
-        {"max_transitions_per_cycle": True},
-        {"max_transitions_per_cycle": 0},
-        # a float quanta count ran the next whole number of quanta
-        {"quanta_per_cycle": 2.5},
+        {"t_max": True},
+        {"t_max": "5"},
+        {"t_max": None},
+        {"seed": None},
+        {"seed": 2.5},
+        {"seed": "3"},
+        {"seed": False},
     ):
         with pytest.raises(ValueError, match="planner config requires"):
             PlannerConfig(**bad)
-    PlannerConfig(quanta_per_cycle=1, goal_bias=0.0, goal_radius=0.0)
-    PlannerConfig(goal_bias=1.0, t_max=math.inf)
-    PlannerConfig(metric_weights=(1, 1, 0, 0), transition_surcharge=0, jump_surcharge=0.0, max_transitions_per_cycle=1)
+    PlannerConfig(t_max=math.inf, seed=-7, workers=4)
+    PlannerConfig(t_max=1, seed=2**70)
 
 
 # -- end to end -----------------------------------------------------------
