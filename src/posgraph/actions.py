@@ -252,9 +252,6 @@ class JumpAction:
     def necessary_vertex(self, pose: Pose) -> bool:  # jump owns no manifold
         return False
 
-    def sufficient_vertex(self, pose: Pose) -> bool:
-        return False
-
     def edge_apex(self, p_launch: Pose, p_land: Pose) -> float | None:
         """The jump's necessary condition: the first apex rise from the
         profile grid giving a clear parabola, or None.

@@ -1,9 +1,12 @@
 """Master possibility graph: vertices, lazily-validated edges, per-action components.
 
-Edges carry a trichotomy-aware status. Anything inserted must at least satisfy
-its action's necessary condition; edges whose sufficient condition held at
-creation (or at a later re-check) are marked accordingly, and edges proven out
-by a confirmation job come back as job-confirmed.
+The graph owns each edge's lifecycle: live -> pending -> job-confirmed or
+refuted. `insert_edge` admits an edge on its action's necessary condition, live
+as sufficient-confirmed or indeterminate; `mark_sufficient` upgrades it in
+place. `defer_edge` pulls it out with its keys pending while a job runs, and
+`settle_edge` re-inserts it as job-confirmed or records its keys as refuted for
+good. The tag sets the direction: a jump is one-way, any other edge has a twin
+that shares every step.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .world import Pose, pose_distance, DEFAULT_METRIC_WEIGHTS
+from .world import Pose, pose_distance
 
 TAG_WALK = "walk"
 TAG_CRAWL = "crawl"
@@ -33,6 +36,12 @@ _Q_H = 0.01
 # cost added to the length of a posture transition and of a jump
 TRANSITION_SURCHARGE = 0.5
 JUMP_SURCHARGE = 1.0
+
+# pose_distance weights that ignore heading
+HEADING_FREE_WEIGHTS = (1.0, 1.0, 0.0, 1.0)
+# nearest_vertices returns at most this many vertices within this distance
+NEAREST_COUNT = 4
+NEAREST_RADIUS = 0.45
 
 
 class EdgeStatus(str, Enum):
@@ -228,11 +237,10 @@ class PossibilityGraph:
         dst: int,
         tag: str,
         status: EdgeStatus,
-        bidirectional: bool,
         apex: float | None = None,
         cost: float | None = None,
     ) -> list[int]:
-        """Insert a directed edge (and its twin when bidirectional); the one
+        """Insert a directed edge, and its twin unless it is a jump; the one
         place that decides whether an edge enters the graph.
 
         Returns the new edge ids, or an empty list when the quantized key is
@@ -255,7 +263,7 @@ class PossibilityGraph:
             return []
         c = self._edge_cost(p0, p1, tag) if cost is None else cost
         ids = [self._add_one(src, dst, tag, status, c, apex, fwd)]
-        if bidirectional:
+        if tag != TAG_JUMP:
             back = edge_key(tag, p1, p0)
             if back not in self._removed_registry and back not in self._live_keys:
                 ids.append(self._add_one(dst, src, tag, status, c, apex, back))
@@ -280,13 +288,9 @@ class PossibilityGraph:
         self._live_keys.add(key)
         return eid
 
-    def remove_edge(self, eid: int, register: bool = False):
-        """Drop an edge (and its twin). Unknown ids are a no-op.
-
-        With register=True the quantized endpoint pair is recorded so the pair
-        can never be re-inserted for this tag; with register=False the removal
-        is speculative (a pending confirmation) and re-insertion stays legal.
-        """
+    def remove_edge(self, eid: int):
+        """Drop an edge and its twin; their keys may be inserted again.
+        Unknown ids are a no-op."""
         e = self.edges.get(eid)
         if e is None:
             return
@@ -299,26 +303,41 @@ class PossibilityGraph:
             self._in[rec.dst].remove(rec.id)
             k = edge_key(rec.tag, self.vertices[rec.src].pose, self.vertices[rec.dst].pose)
             self._live_keys.discard(k)
-            if register:
-                self._removed_registry.add(k)
             if rec.tag in VERTEX_TAGS:
                 self._uf_dirty.add(rec.tag)
         self._bump()
 
-    def register_refuted(self, tag: str, p0: Pose, p1: Pose, both_directions: bool = True):
-        self._removed_registry.add(edge_key(tag, p0, p1))
-        if both_directions:
-            self._removed_registry.add(edge_key(tag, p1, p0))
+    def _keys(self, src: int, dst: int, tag: str) -> list[tuple]:
+        """The quantized keys of an edge and, unless it is a jump, its twin."""
+        p0, p1 = self.vertices[src].pose, self.vertices[dst].pose
+        keys = [edge_key(tag, p0, p1)]
+        if tag != TAG_JUMP:
+            keys.append(edge_key(tag, p1, p0))
+        return keys
 
-    def mark_pending(self, tag: str, p0: Pose, p1: Pose, both_directions: bool = True):
-        self._pending_keys.add(edge_key(tag, p0, p1))
-        if both_directions:
-            self._pending_keys.add(edge_key(tag, p1, p0))
+    def mark_sufficient(self, eid: int):
+        """Upgrade a live edge and its twin to sufficient-confirmed."""
+        e = self.edges[eid]
+        e.status = EdgeStatus.SUFFICIENT
+        if e.twin is not None and e.twin in self.edges:
+            self.edges[e.twin].status = EdgeStatus.SUFFICIENT
 
-    def clear_pending(self, tag: str, p0: Pose, p1: Pose, both_directions: bool = True):
-        self._pending_keys.discard(edge_key(tag, p0, p1))
-        if both_directions:
-            self._pending_keys.discard(edge_key(tag, p1, p0))
+    def defer_edge(self, eid: int):
+        """Hand a live edge to confirmation: its keys stay blocked as pending
+        while the edge and its twin leave the graph."""
+        e = self.edges[eid]
+        self._pending_keys.update(self._keys(e.src, e.dst, e.tag))
+        self.remove_edge(eid)
+
+    def settle_edge(self, src: int, dst: int, tag: str, confirmed: bool, apex: float | None, cost: float) -> list[int]:
+        """End a deferred edge's wait: re-insert it as job-confirmed and
+        return the new ids, or record its keys as refuted and return []."""
+        keys = self._keys(src, dst, tag)
+        self._pending_keys.difference_update(keys)
+        if confirmed:
+            return self.insert_edge(src, dst, tag, EdgeStatus.JOB_CONFIRMED, apex=apex, cost=cost)
+        self._removed_registry.update(keys)
+        return []
 
     # -- connectivity -----------------------------------------------------
 
@@ -447,22 +466,16 @@ class PossibilityGraph:
         entries.sort(key=lambda e: (e.distance, e.vertex_id))
         return entries
 
-    def nearest_vertices(
-        self,
-        tag: str,
-        pose: Pose,
-        k: int = 3,
-        max_dist: float | None = None,
-        weights: tuple[float, float, float, float] = DEFAULT_METRIC_WEIGHTS,
-    ) -> list[int]:
-        """The k vertices of one manifold closest to a pose, nearest first."""
+    def nearest_vertices(self, tag: str, pose: Pose) -> list[int]:
+        """Up to NEAREST_COUNT vertices of one manifold within NEAREST_RADIUS
+        of a pose, heading ignored, nearest first."""
         scored = []
         for vid in self._tag_vertices[tag]:
-            d = pose_distance(self.vertices[vid].pose, pose, weights)
-            if max_dist is None or d <= max_dist:
+            d = pose_distance(self.vertices[vid].pose, pose, HEADING_FREE_WEIGHTS)
+            if d <= NEAREST_RADIUS:
                 scored.append((d, vid))
         scored.sort()
-        return [vid for _, vid in scored[:k]]
+        return [vid for _, vid in scored[:NEAREST_COUNT]]
 
     # -- serialization ----------------------------------------------------
 

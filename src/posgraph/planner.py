@@ -19,6 +19,7 @@ from .actions import STEP, Action, GaitAction, JumpAction, build_actions, graph_
 from .confirm import CONFIRMED, ConfirmationQueue, EdgeSnapshot
 from .graph import (
     EdgeStatus,
+    HEADING_FREE_WEIGHTS,
     PathResult,
     PossibilityGraph,
     TAG_CRAWL,
@@ -179,7 +180,7 @@ class Planner:
             dest = self.graph.insert_vertex(cand, action.tag)
             if dest == vid:
                 continue
-            if not self.graph.insert_edge(vid, dest, TAG_TRANSITION, EdgeStatus.SUFFICIENT, True):
+            if not self.graph.insert_edge(vid, dest, TAG_TRANSITION, EdgeStatus.SUFFICIENT):
                 continue
             if dest >= before:
                 new_ids.append(dest)
@@ -198,7 +199,7 @@ class Planner:
         for _ in range(self._chain_limit):
             last_pose = g.vertices[last_id].pose
             vp = action.project(action.extend_towards(last_pose, target))
-            if pose_distance(last_pose, vp, (1, 1, 0, 1)) < 1e-9:
+            if pose_distance(last_pose, vp, HEADING_FREE_WEIGHTS) < 1e-9:
                 break
             vp = self._steer_clear(action, vp)
             if not action.necessary_vertex(vp):
@@ -211,7 +212,7 @@ class Planner:
             if vid == last_id:
                 break
             if not g.edge_live(action.tag, last_pose, stored):
-                if not g.insert_edge(last_id, vid, action.tag, self._gait_status(action.tag, last_id, vid), True):
+                if not g.insert_edge(last_id, vid, action.tag, self._gait_status(action.tag, last_id, vid)):
                     break
                 if vid >= before:
                     new_ids.append(vid)
@@ -302,14 +303,14 @@ class Planner:
             before = g._next_vid
             near_id = g.insert_vertex(near, v.tag)
             if near_id != vid:
-                if not g.insert_edge(vid, near_id, v.tag, self._gait_status(v.tag, vid, near_id), True):
+                if not g.insert_edge(vid, near_id, v.tag, self._gait_status(v.tag, vid, near_id)):
                     continue
                 if near_id >= before:
                     new_ids.append(near_id)
             before = g._next_vid
             far_id = g.insert_vertex(far, far_tag)
             launch_id, landing_id = (near_id, far_id) if launching else (far_id, near_id)
-            if not g.insert_edge(launch_id, landing_id, TAG_JUMP, EdgeStatus.INDETERMINATE, False, apex=apex):
+            if not g.insert_edge(launch_id, landing_id, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=apex):
                 continue
             if far_id >= before:
                 new_ids.append(far_id)
@@ -322,13 +323,16 @@ class Planner:
 
     def _snap_link(self, vid: int):
         """Tie a freshly planted jump endpoint into nearby same-manifold
-        vertices so it does not float as its own component."""
+        vertices so it does not float as its own component. An endpoint on a
+        gait that is not enabled joins through a posture transition instead."""
         g = self.graph
         v = g.vertices[vid]
-        for nb in g.nearest_vertices(v.tag, v.pose, k=4, max_dist=0.45, weights=(1.0, 1.0, 0.0, 1.0)):
+        if v.tag not in self.actions_by_tag:
+            return
+        for nb in g.nearest_vertices(v.tag, v.pose):
             if nb == vid:
                 continue
-            g.insert_edge(vid, nb, v.tag, self._gait_status(v.tag, vid, nb), True)
+            g.insert_edge(vid, nb, v.tag, self._gait_status(v.tag, vid, nb))
 
     def _sample_target(self) -> Pose:
         """Uniform sample over the world, occasionally biased to a goal so
@@ -358,7 +362,7 @@ class Planner:
                     continue
                 if math.hypot(gv.pose.x - v.pose.x, gv.pose.y - v.pose.y) > GOAL_RADIUS:
                     continue
-                g.insert_edge(vid, gid, v.tag, self._gait_status(v.tag, vid, gid), True, cost=0.0)
+                g.insert_edge(vid, gid, v.tag, self._gait_status(v.tag, vid, gid), cost=0.0)
 
     # -- confirmation -----------------------------------------------------
 
@@ -366,55 +370,39 @@ class Planner:
         """Alg-2 style pass over a candidate path.
 
         Edges already proven stay; edges whose sufficient condition holds now
-        get upgraded in place; the rest are speculatively removed and handed to
-        confirmation jobs. True only when every edge on the path is proven.
+        get upgraded in place; the rest are deferred to confirmation jobs.
+        True only when every edge on the path is proven.
         """
         g = self.graph
         all_ok = True
         for eid in path.edge_ids:
-            e = g.edges.get(eid)
-            if e is None:
-                all_ok = False
-                continue
+            e = g.edges[eid]
             if e.status in (EdgeStatus.SUFFICIENT, EdgeStatus.JOB_CONFIRMED):
                 continue
             # transition edges are always inserted as sufficient, so only gait
             # and jump edges get here
-            p0 = g.vertices[e.src].pose
-            p1 = g.vertices[e.dst].pose
             action = self.actions_by_tag[e.tag]
-            if action.sufficient_edge(p0, p1):
-                e.status = EdgeStatus.SUFFICIENT
-                if e.twin is not None and e.twin in g.edges:
-                    g.edges[e.twin].status = EdgeStatus.SUFFICIENT
+            if action.sufficient_edge(g.vertices[e.src].pose, g.vertices[e.dst].pose):
+                g.mark_sufficient(eid)
                 continue
             all_ok = False
-            bidir = e.tag != TAG_JUMP
             snapshot = EdgeSnapshot.of_edge(g, e)
-            if action.necessary_edge(p0, p1):
-                g.mark_pending(e.tag, p0, p1, both_directions=bidir)
-                g.remove_edge(eid, register=False)
-                self.queue.submit(action.spawn_confirmation_job(snapshot))
-                self.stats.jobs_spawned += 1
-            else:
-                g.remove_edge(eid, register=True)
+            g.defer_edge(eid)
+            self.queue.submit(action.spawn_confirmation_job(snapshot))
+            self.stats.jobs_spawned += 1
         return all_ok
 
     def _apply_verdicts(self):
         for v in self.queue.drain_verdicts():
             snap = v.edge
-            bidir = snap.tag != TAG_JUMP
-            self.graph.clear_pending(snap.tag, snap.pose_src, snap.pose_dst, both_directions=bidir)
-            if v.outcome == CONFIRMED:
+            confirmed = v.outcome == CONFIRMED
+            ids = self.graph.settle_edge(snap.src, snap.dst, snap.tag, confirmed, snap.apex, snap.cost)
+            if confirmed:
                 self.stats.jobs_confirmed += 1
-                ids = self.graph.insert_edge(
-                    snap.src, snap.dst, snap.tag, EdgeStatus.JOB_CONFIRMED, bidir, apex=snap.apex, cost=snap.cost
-                )
                 if ids and v.trajectory is not None:
                     self.trajectories[ids[0]] = v.trajectory
             else:
                 self.stats.jobs_refuted += 1
-                self.graph.register_refuted(snap.tag, snap.pose_src, snap.pose_dst, both_directions=bidir)
             self.events.append(f"CONFIRM {snap.edge_id} {v.outcome}")
 
     # -- main loop --------------------------------------------------------

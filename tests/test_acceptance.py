@@ -243,7 +243,8 @@ def test_sufficient_implies_necessary_and_solution_edges_valid(matrix, capfd):
                 p = random_pose(rng, world)
                 if a.tag != "jump" and rng.random() < 0.5:
                     p = Pose(p.x, p.y, p.theta, a.nominal_h)
-                if a.sufficient_vertex(p):
+                # the jump owns no manifold, so it has no vertex conditions to compare
+                if a.tag != "jump" and a.sufficient_vertex(p):
                     cs_hits[a.tag] += 1
                     violations += not a.necessary_vertex(p)
             for _ in range(500):

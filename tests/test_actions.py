@@ -85,7 +85,6 @@ def test_sufficient_implies_necessary_fuzz(profile):
 
 def test_jump_sufficient_is_constantly_false(open_world, profile):
     jump = build_actions(["jump"], profile, open_world)[0]
-    assert not jump.sufficient_vertex(Pose(5, 4, 0, 1.0))
     assert not jump.sufficient_edge(Pose(2, 4, 0, 1.0), Pose(3, 4, 0, 0.3))
     assert not jump.necessary_vertex(Pose(5, 4, 0, 1.0))
 

@@ -91,6 +91,15 @@ def test_solve_timeout_exits_two(tmp_path, capsys):
     assert "no path found within 2.0s" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_jump_without_crawl_solves_without_traceback(seed, capsys):
+    # jump landings sit on the crawl manifold; linking them with crawl edges
+    # graded by the disabled crawl action raised KeyError: 'crawl'
+    argv = ["solve", "--builtin", "double_jump", "--actions", "walk,jump", "--seed", str(seed), "--time-limit", "20"]
+    assert main(argv) in (EXIT_OK, EXIT_NO_PATH)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_bad_inputs_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

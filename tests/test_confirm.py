@@ -177,7 +177,7 @@ def test_snapshot_of_graph_edge_copies_endpoint_poses():
     g = PossibilityGraph()
     p0, p1 = Pose(1, 2, 0.5, 1.0), Pose(3, 2, 0.0, 0.3)
     a, b = g.insert_vertex(p0, "walk"), g.insert_vertex(p1, "crawl")
-    (eid,) = g.insert_edge(a, b, "jump", EdgeStatus.INDETERMINATE, False, apex=0.4)
+    (eid,) = g.insert_edge(a, b, "jump", EdgeStatus.INDETERMINATE, apex=0.4)
     e = g.edges[eid]
     assert EdgeSnapshot.of_edge(g, e) == EdgeSnapshot(eid, "jump", a, b, p0, p1, e.cost, 0.4)
 

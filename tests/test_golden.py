@@ -1,8 +1,9 @@
 """Recorded digests of builtin solves: a determinism check that spans commits.
-A change that alters the graph dump or the event log of any builtin with a
-fixed seed fails here, even if every other test still passes. The seed-0
-digests hold for the library and for a CLI solve with default flags alike;
-seeds 1-9 are checked through the library."""
+A change that alters the graph dump, the event log or the JSON path
+description of any builtin with a fixed seed fails here, even if every other
+test still passes. The seed-0 dump and log digests hold for the library and
+for a CLI solve with default flags alike; seeds 1-9 are checked through the
+library."""
 import hashlib
 import json
 from pathlib import Path
@@ -15,31 +16,47 @@ from posgraph.cli import EXIT_OK, main
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_builtins_seed0.json").read_text())["sha256"]
 GOLDEN_SEEDS = json.loads((DATA / "golden_builtins_seeds1to9.json").read_text())["sha256"]
+GOLDEN_PATHS = json.loads((DATA / "golden_paths.json").read_text())["sha256"]
 
 
-def _solve_digest(name, seed):
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _solve(name, seed):
+    """The solved planner, the dump+log digest and the path-JSON digest."""
     sc = builtin_scenario(name)
     planner = Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, PlannerConfig(t_max=60.0, seed=seed))
-    assert planner.find_path() is not None
+    path = planner.find_path()
+    assert path is not None
     text = planner.graph.dump() + planner.event_log()
-    return hashlib.sha256(text.encode()).hexdigest()
+    return planner, _sha256(text), _sha256(json.dumps(planner.describe_path(path), sort_keys=True))
 
 
 def test_golden_covers_every_builtin():
     assert sorted(GOLDEN) == sorted(BUILTIN_NAMES)
     assert sorted(GOLDEN_SEEDS) == sorted(BUILTIN_NAMES)
     assert all(sorted(GOLDEN_SEEDS[name], key=int) == [str(s) for s in range(1, 10)] for name in BUILTIN_NAMES)
+    assert sorted(GOLDEN_PATHS) == sorted(BUILTIN_NAMES)
+    assert all(sorted(GOLDEN_PATHS[name], key=int) == [str(s) for s in range(10)] for name in BUILTIN_NAMES)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_seed0_solve_reproduces_recorded_digest(name):
-    assert _solve_digest(name, 0) == GOLDEN[name]
+    planner, digest, path_digest = _solve(name, 0)
+    assert digest == GOLDEN[name]
+    assert path_digest == GOLDEN_PATHS[name]["0"]
+    # every live edge still passes its necessary condition on the stored
+    # poses, which is why confirmation does not check it again
+    planner.graph.audit()
 
 
 @pytest.mark.parametrize("seed", range(1, 10))
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_seed_matrix_solve_reproduces_recorded_digest(name, seed):
-    assert _solve_digest(name, seed) == GOLDEN_SEEDS[name][str(seed)]
+    _, digest, path_digest = _solve(name, seed)
+    assert digest == GOLDEN_SEEDS[name][str(seed)]
+    assert path_digest == GOLDEN_PATHS[name][str(seed)]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -47,4 +64,4 @@ def test_default_flag_cli_solve_reproduces_recorded_digest(name, tmp_path, capsy
     dump, log = tmp_path / "graph.txt", tmp_path / "events.log"
     assert main(["solve", "--builtin", name, "--seed", "0", "--dump", str(dump), "--log", str(log)]) == EXIT_OK
     text = dump.read_text() + log.read_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+    assert _sha256(text) == GOLDEN[name]

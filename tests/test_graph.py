@@ -21,7 +21,7 @@ from posgraph.graph import (
 def build_line(g, tag, xs, status=EdgeStatus.SUFFICIENT):
     ids = [g.insert_vertex(Pose(x, 0.0, 0.0, 1.0), tag) for x in xs]
     for a, b in itertools.pairwise(ids):
-        g.insert_edge(a, b, tag, status, True)
+        g.insert_edge(a, b, tag, status)
     return ids
 
 
@@ -87,15 +87,15 @@ def test_edge_costs_exclude_heading_and_add_surcharges():
     g = PossibilityGraph()
     a = g.insert_vertex(Pose(0, 0, 0.0, 1.0), TAG_WALK)
     b = g.insert_vertex(Pose(3, 4, 2.0, 1.0), TAG_WALK)
-    (eid, _) = g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True)
+    (eid, _) = g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT)
     assert g.edges[eid].cost == pytest.approx(5.0)  # heading ignored
 
     c = g.insert_vertex(Pose(3, 4, 2.0, 0.3), TAG_CRAWL)
-    tids = g.insert_edge(b, c, TAG_TRANSITION, EdgeStatus.SUFFICIENT, True)
+    tids = g.insert_edge(b, c, TAG_TRANSITION, EdgeStatus.SUFFICIENT)
     assert g.edges[tids[0]].cost == pytest.approx(0.7 + 0.5)  # dh + surcharge
 
     d = g.insert_vertex(Pose(4.0, 4.0, 0.0, 0.3), TAG_CRAWL)
-    jids = g.insert_edge(b, d, TAG_JUMP, EdgeStatus.INDETERMINATE, False, apex=0.2)
+    jids = g.insert_edge(b, d, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2)
     e = g.edges[jids[0]]
     assert e.cost == pytest.approx(math.hypot(1.0, 0.7) + 1.0)
     assert e.twin is None  # jumps are one-way
@@ -105,7 +105,7 @@ def test_explicit_cost_override():
     g = PossibilityGraph()
     a = g.insert_vertex(Pose(0, 0, 0, 1.0), TAG_WALK)
     b = g.insert_vertex(Pose(0.2, 0, 0, 1.0), TAG_WALK)
-    ids = g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True, cost=0.0)
+    ids = g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, cost=0.0)
     assert all(g.edges[i].cost == 0.0 for i in ids)
 
 
@@ -123,7 +123,7 @@ def test_bidirectional_edges_are_twinned():
 def test_duplicate_edge_suppressed_by_live_keys():
     g = PossibilityGraph()
     a, b = build_line(g, TAG_WALK, [0.0, 1.0])
-    again = g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True)
+    again = g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT)
     assert again == []
     assert g.edge_count() == 2
 
@@ -134,9 +134,13 @@ def test_registry_blocks_reinsertion_after_refutation():
     eid = next(iter(g.edges))
     p0 = g.vertices[a].pose
     p1 = g.vertices[b].pose
-    g.remove_edge(eid, register=True)
-    assert g.edge_blocked(TAG_WALK, p0, p1)
-    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True) == []
+    g.defer_edge(eid)
+    assert g.settle_edge(a, b, TAG_WALK, False, None, 1.0) == []
+    # both keys stay blocked for good, and no edge comes back
+    assert g.edge_blocked(TAG_WALK, p0, p1) and g.edge_blocked(TAG_WALK, p1, p0)
+    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT) == []
+    assert g.insert_edge(b, a, TAG_WALK, EdgeStatus.SUFFICIENT) == []
+    assert g.edges == {}
     # a different tag between the same poses is unaffected
     assert not g.edge_blocked(TAG_CRAWL, p0, p1)
 
@@ -144,13 +148,49 @@ def test_registry_blocks_reinsertion_after_refutation():
 def test_pending_keys_block_then_clear():
     g = PossibilityGraph()
     a, b = build_line(g, TAG_WALK, [0.0, 1.0])
-    p0 = g.vertices[a].pose
-    p1 = g.vertices[b].pose
-    g.remove_edge(next(iter(g.edges)), register=False)
-    g.mark_pending(TAG_WALK, p0, p1)
-    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True) == []
-    g.clear_pending(TAG_WALK, p0, p1)
-    assert len(g.insert_edge(a, b, TAG_WALK, EdgeStatus.JOB_CONFIRMED, True)) == 2
+    g.defer_edge(next(iter(g.edges)))
+    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT) == []
+    assert len(g.settle_edge(a, b, TAG_WALK, True, None, 1.0)) == 2
+
+
+def test_deferred_jump_blocks_only_its_forward_key():
+    g = PossibilityGraph()
+    a = g.insert_vertex(Pose(0, 0, 0, 1.0), TAG_WALK)
+    b = g.insert_vertex(Pose(1, 0, 0, 0.3), TAG_CRAWL)
+    p0, p1 = g.vertices[a].pose, g.vertices[b].pose
+    (eid,) = g.insert_edge(a, b, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2)
+    g.defer_edge(eid)
+    assert g.edges == {}
+    assert g.edge_blocked(TAG_JUMP, p0, p1)
+    assert not g.edge_blocked(TAG_JUMP, p1, p0)
+    assert len(g.insert_edge(b, a, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2)) == 1
+
+
+def test_deferred_gait_edge_blocks_both_keys():
+    g = PossibilityGraph()
+    a, b = build_line(g, TAG_WALK, [0.0, 1.0])
+    p0, p1 = g.vertices[a].pose, g.vertices[b].pose
+    g.defer_edge(next(iter(g.edges)))
+    assert g.edges == {}
+    assert g.edge_blocked(TAG_WALK, p0, p1) and g.edge_blocked(TAG_WALK, p1, p0)
+    assert not g.edge_live(TAG_WALK, p0, p1) and not g.edge_live(TAG_WALK, p1, p0)
+    assert g.insert_edge(b, a, TAG_WALK, EdgeStatus.SUFFICIENT) == []
+
+
+def test_confirmed_settle_reinserts_twinned_job_confirmed_pair():
+    g = PossibilityGraph()
+    a, b = build_line(g, TAG_WALK, [0.0, 1.0])
+    g.defer_edge(next(iter(g.edges)))
+    ids = g.settle_edge(a, b, TAG_WALK, True, None, 0.75)
+    assert len(ids) == 2
+    e0, e1 = (g.edges[i] for i in ids)
+    assert (e0.src, e0.dst, e1.src, e1.dst) == (a, b, b, a)
+    assert e0.twin == e1.id and e1.twin == e0.id
+    assert all(e.status == EdgeStatus.JOB_CONFIRMED and e.cost == 0.75 for e in (e0, e1))
+    g.audit()
+    # no key stays pending or refuted: once removed, the pair may come back
+    g.remove_edge(ids[0])
+    assert len(g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT)) == 2
 
 
 def test_edge_key_includes_heading():
@@ -166,7 +206,7 @@ def test_insert_edge_reasserts_condition():
     g = PossibilityGraph(checks=checks)
     a = g.insert_vertex(Pose(0, 0, 0, 1.0), TAG_WALK)
     b = g.insert_vertex(Pose(2, 0, 0, 1.0), TAG_WALK)
-    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True) == []
+    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT) == []
     assert g.edges == {}
     g.audit()
 
@@ -197,7 +237,7 @@ def test_directed_reachability_with_one_way_edge():
     g = PossibilityGraph()
     a = g.insert_vertex(Pose(0, 0, 0, 1.0), TAG_WALK)
     b = g.insert_vertex(Pose(1, 0, 0, 0.3), TAG_CRAWL)
-    g.insert_edge(a, b, TAG_JUMP, EdgeStatus.INDETERMINATE, False, apex=0.2)
+    g.insert_edge(a, b, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2)
     g.set_endpoints(a, [b])
     assert g.connected(a, b)
     assert not g.connected(b, a)
@@ -231,7 +271,9 @@ def test_shortest_path_matches_enumeration_oracle():
         assert len(set(vids)) == 7  # no pose fell into another's dedup cell
         for _ in range(12):
             a, b = rng.sample(vids, 2)
-            g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, rng.random() < 0.7)
+            # a jump is the one-way edge
+            tag = TAG_WALK if rng.random() < 0.7 else TAG_JUMP
+            g.insert_edge(a, b, tag, EdgeStatus.SUFFICIENT)
         src, dst = vids[0], vids[-1]
         got = g.shortest_path(src, dst)
         want = all_simple_paths_min_cost(g, src, dst)
@@ -261,13 +303,13 @@ def test_shortest_path_tie_breaks_on_lower_edge_id():
     a = g.insert_vertex(Pose(1, 1, 0, 1.0), TAG_WALK)
     b = g.insert_vertex(Pose(1, -1, 0, 1.0), TAG_WALK)
     t = g.insert_vertex(Pose(2, 0, 0, 1.0), TAG_WALK)
-    g.insert_edge(s, a, TAG_WALK, EdgeStatus.SUFFICIENT, False)
-    low_in = g.insert_edge(s, b, TAG_WALK, EdgeStatus.SUFFICIENT, False)
-    low_out = g.insert_edge(b, t, TAG_WALK, EdgeStatus.SUFFICIENT, False)
-    g.insert_edge(a, t, TAG_WALK, EdgeStatus.SUFFICIENT, False)
+    g.insert_edge(s, a, TAG_WALK, EdgeStatus.SUFFICIENT)
+    low_in = g.insert_edge(s, b, TAG_WALK, EdgeStatus.SUFFICIENT)
+    low_out = g.insert_edge(b, t, TAG_WALK, EdgeStatus.SUFFICIENT)
+    g.insert_edge(a, t, TAG_WALK, EdgeStatus.SUFFICIENT)
     path = g.shortest_path(s, t)
     assert path.cost == pytest.approx(2 * math.sqrt(2))
-    # equal-cost routes resolve to the lower incoming edge id at t (2 < 3)
+    # equal-cost routes resolve to the lower incoming edge id at t (4 < 6)
     assert path.edge_ids == (low_in[0], low_out[0])
 
 
@@ -297,11 +339,12 @@ def test_subgraph_closest_orders_components():
 
 def test_nearest_vertices_radius_and_order():
     g = PossibilityGraph()
-    ids = build_line(g, TAG_WALK, [0, 1, 2, 3])
-    near = g.nearest_vertices(TAG_WALK, Pose(1.1, 0, 0, 1.0), k=2, max_dist=1.0)
-    assert near == [ids[1], ids[2]]
-    none = g.nearest_vertices(TAG_WALK, Pose(8, 0, 0, 1.0), k=2, max_dist=1.0)
-    assert none == []
+    ids = build_line(g, TAG_WALK, [0, 0.2, 0.4, 0.6, 0.8, 2.0])
+    # five vertices lie within NEAREST_RADIUS (0.45); the NEAREST_COUNT (4)
+    # closest come back nearest first, heading ignored
+    near = g.nearest_vertices(TAG_WALK, Pose(0.41, 0, 3.0, 1.0))
+    assert near == [ids[2], ids[3], ids[1], ids[4]]
+    assert g.nearest_vertices(TAG_WALK, Pose(2.5, 0, 0, 1.0)) == []
 
 
 # -- serialization and audit ----------------------------------------------
@@ -313,7 +356,7 @@ def test_dump_format_and_determinism():
         build_line(g, TAG_WALK, [0, 1, 2])
         a = g.insert_vertex(Pose(0, 0, 0, 0.3), TAG_CRAWL)
         b = g.insert_vertex(Pose(0, 0.5, 0, 0.3), TAG_CRAWL)
-        g.insert_edge(a, b, TAG_CRAWL, EdgeStatus.INDETERMINATE, True)
+        g.insert_edge(a, b, TAG_CRAWL, EdgeStatus.INDETERMINATE)
         return g.dump()
 
     d1 = build()
@@ -336,7 +379,7 @@ def test_audit_passes_on_random_graph():
     assert len(set(vids)) == 10  # no pose fell into another's dedup cell
     for _ in range(15):
         a, b = rng.sample(vids, 2)
-        g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT, True)
+        g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT)
     for eid in list(g.edges)[:4]:
         g.remove_edge(eid)
     g.audit()

@@ -165,7 +165,7 @@ def seeded_edge_planner(world, profile):
     pl = make_planner(world, profile, Pose(1.6, 1, 0, 1.0), Pose(2.6, 1, 0, 1.0), ["walk"])
     pl._init_endpoints()
     g = pl.graph
-    ids = g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE, True)
+    ids = g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE)
     assert ids
     return pl
 
@@ -177,7 +177,7 @@ def test_confirm_path_spawns_job_then_reinserts_confirmed(profile):
     assert not pl.confirm_path(path)
     assert pl.stats.jobs_spawned == 1
     assert g.edge_count() == 0  # speculatively removed while the job runs
-    assert g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE, True) == []
+    assert g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE) == []
     pl.queue.step(8)
     pl._apply_verdicts()
     assert pl.stats.jobs_confirmed == 1
@@ -198,7 +198,7 @@ def test_confirm_path_blocks_refuted_edge_for_good(profile):
     pl._apply_verdicts()
     assert pl.stats.jobs_refuted == 1
     assert g.shortest_path(g.start_id, g.goal_ids[0]) is None
-    assert g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE, True) == []
+    assert g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE) == []
 
 
 def test_confirm_path_upgrades_currently_sufficient_edges(profile):
@@ -206,7 +206,7 @@ def test_confirm_path_upgrades_currently_sufficient_edges(profile):
     pl = make_planner(world, profile, Pose(1.6, 1, 0, 1.0), Pose(2.6, 1, 0, 1.0), ["walk"])
     pl._init_endpoints()
     g = pl.graph
-    g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE, True)
+    g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE)
     path = g.shortest_path(g.start_id, g.goal_ids[0])
     assert pl.confirm_path(path)  # no job: upgraded in place, twin included
     assert pl.stats.jobs_spawned == 0
