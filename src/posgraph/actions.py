@@ -229,9 +229,9 @@ class GaitAction:
 class JumpAction:
     """Standing long jump: launches from the walk manifold, lands on crawl.
 
-    Transitions into a jump are meaningless (any walk vertex is launch-ready),
-    and no geometric test short of the solver is trusted to prove a jump, so
-    the sufficient condition is constantly false.
+    It owns no manifold, so it takes no posture transitions, and no geometric
+    test short of the solver is trusted to prove a jump, so the sufficient
+    condition is constantly false.
     """
 
     tag = TAG_JUMP
@@ -241,16 +241,12 @@ class JumpAction:
         self.world = world
         self._walk = walk
         self._crawl = crawl
-        self.queue = TransitionQueue()
 
     def clear_memos(self):
         """The endpoint checks are the gaits' memoized conditions; clear those,
         since the gaits may not be enabled actions themselves."""
         self._walk.clear_memos()
         self._crawl.clear_memos()
-
-    def necessary_vertex(self, pose: Pose) -> bool:  # jump owns no manifold
-        return False
 
     def edge_apex(self, p_launch: Pose, p_land: Pose) -> float | None:
         """The jump's necessary condition: the first apex rise from the
@@ -319,10 +315,6 @@ class JumpAction:
         dy = v.y - target.y
         th = v.theta if math.hypot(dx, dy) < 1e-12 else math.atan2(dy, dx)
         return Pose(v.x, v.y, th, self.profile.h_crawl)
-
-    def transition_from(self, pose: Pose) -> Pose | None:
-        """Jumping is not a posture one transitions into; always None."""
-        return None
 
     def spawn_confirmation_job(self, snapshot: confirm.EdgeSnapshot) -> confirm.JumpConfirmJob:
         return confirm.JumpConfirmJob(snapshot, self.profile)

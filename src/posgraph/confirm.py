@@ -1,10 +1,10 @@
 """Confirmation jobs: fine-grained gait sweeps and ballistic jump solves.
 
-Indeterminate edges pulled off candidate paths become resumable jobs. The
-planner runs them cooperatively, a few bounded quanta per cycle (collision
-checks are the unit of work), and requeues unfinished jobs at the back, so
-short jobs never starve behind long ones. Verdicts accumulate until the
-planner drains them.
+An indeterminate edge on a candidate path becomes a resumable job. The queue
+runs jobs cooperatively in bounded quanta (collision checks are the unit of
+work) and requeues unfinished jobs at the back, so short jobs never starve
+behind long ones. The planner submits one job at a time and steps it to its
+verdict, job-confirmed or refuted, before it looks at the next path edge.
 """
 from __future__ import annotations
 

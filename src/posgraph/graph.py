@@ -1,11 +1,11 @@
 """Master possibility graph: vertices, lazily-validated edges, per-action components.
 
-The graph owns each edge's lifecycle: live -> pending -> job-confirmed or
-refuted. `insert_edge` admits an edge on its action's necessary condition, live
-as sufficient-confirmed or indeterminate; `mark_sufficient` upgrades it in
-place. `defer_edge` pulls it out with its keys pending while a job runs, and
-`settle_edge` re-inserts it as job-confirmed or records its keys as refuted for
-good. The tag sets the direction: a jump is one-way, any other edge has a twin
+The graph owns each edge's lifecycle: live -> job-confirmed or refuted.
+`insert_edge` admits an edge on its action's necessary condition, live as
+sufficient-confirmed or indeterminate; `mark_sufficient` upgrades it in place.
+`settle_edge` takes a confirmation job's verdict: it marks the edge
+job-confirmed in place, or records its keys as refuted for good and removes
+it. The tag sets the direction: a jump is one-way, any other edge has a twin
 that shares every step.
 """
 from __future__ import annotations
@@ -157,7 +157,6 @@ class PossibilityGraph:
         self._uf: dict[str, _UnionFind] = {t: _UnionFind() for t in VERTEX_TAGS}
         self._uf_dirty: set[str] = set()
         self._removed_registry: set[tuple] = set()
-        self._pending_keys: set[tuple] = set()
         self._live_keys: set[tuple] = set()
         self._vertex_keys: dict[tuple, int] = {}
         self._version = 0
@@ -220,12 +219,12 @@ class PossibilityGraph:
         return length
 
     def edge_blocked(self, tag: str, p0: Pose, p1: Pose) -> bool:
-        """True if this quantized endpoint pair was refuted, is pending a job,
-        or already exists live."""
+        """True if this quantized endpoint pair was refuted or already exists
+        live."""
         return self._key_blocked(edge_key(tag, p0, p1))
 
     def _key_blocked(self, k: tuple) -> bool:
-        return k in self._removed_registry or k in self._pending_keys or k in self._live_keys
+        return k in self._removed_registry or k in self._live_keys
 
     def edge_live(self, tag: str, p0: Pose, p1: Pose) -> bool:
         """True if an edge with these quantized endpoints currently exists."""
@@ -244,7 +243,7 @@ class PossibilityGraph:
         place that decides whether an edge enters the graph.
 
         Returns the new edge ids, or an empty list when the quantized key is
-        refuted, pending or live, or when the stored endpoint poses fail the
+        refuted or live, or when the stored endpoint poses fail the
         tag's necessary condition. Vertex dedup can snap an intended pose onto
         an existing vertex whose heading differs, so the condition is judged
         on what the graph actually holds.
@@ -265,7 +264,7 @@ class PossibilityGraph:
         ids = [self._add_one(src, dst, tag, status, c, apex, fwd)]
         if tag != TAG_JUMP:
             back = edge_key(tag, p1, p0)
-            if back not in self._removed_registry and back not in self._live_keys:
+            if not self._key_blocked(back):
                 ids.append(self._add_one(dst, src, tag, status, c, apex, back))
                 self.edges[ids[0]].twin = ids[1]
                 self.edges[ids[1]].twin = ids[0]
@@ -307,37 +306,29 @@ class PossibilityGraph:
                 self._uf_dirty.add(rec.tag)
         self._bump()
 
-    def _keys(self, src: int, dst: int, tag: str) -> list[tuple]:
-        """The quantized keys of an edge and, unless it is a jump, its twin."""
-        p0, p1 = self.vertices[src].pose, self.vertices[dst].pose
-        keys = [edge_key(tag, p0, p1)]
-        if tag != TAG_JUMP:
-            keys.append(edge_key(tag, p1, p0))
-        return keys
+    def _set_status(self, eid: int, status: EdgeStatus):
+        e = self.edges[eid]
+        e.status = status
+        if e.twin is not None and e.twin in self.edges:
+            self.edges[e.twin].status = status
 
     def mark_sufficient(self, eid: int):
         """Upgrade a live edge and its twin to sufficient-confirmed."""
-        e = self.edges[eid]
-        e.status = EdgeStatus.SUFFICIENT
-        if e.twin is not None and e.twin in self.edges:
-            self.edges[e.twin].status = EdgeStatus.SUFFICIENT
+        self._set_status(eid, EdgeStatus.SUFFICIENT)
 
-    def defer_edge(self, eid: int):
-        """Hand a live edge to confirmation: its keys stay blocked as pending
-        while the edge and its twin leave the graph."""
-        e = self.edges[eid]
-        self._pending_keys.update(self._keys(e.src, e.dst, e.tag))
-        self.remove_edge(eid)
-
-    def settle_edge(self, src: int, dst: int, tag: str, confirmed: bool, apex: float | None, cost: float) -> list[int]:
-        """End a deferred edge's wait: re-insert it as job-confirmed and
-        return the new ids, or record its keys as refuted and return []."""
-        keys = self._keys(src, dst, tag)
-        self._pending_keys.difference_update(keys)
+    def settle_edge(self, eid: int, confirmed: bool):
+        """Apply a job's verdict to a live edge: mark it and its twin
+        job-confirmed in place, or record their keys as refuted for good and
+        remove both."""
         if confirmed:
-            return self.insert_edge(src, dst, tag, EdgeStatus.JOB_CONFIRMED, apex=apex, cost=cost)
-        self._removed_registry.update(keys)
-        return []
+            self._set_status(eid, EdgeStatus.JOB_CONFIRMED)
+            return
+        e = self.edges[eid]
+        p0, p1 = self.vertices[e.src].pose, self.vertices[e.dst].pose
+        self._removed_registry.add(edge_key(e.tag, p0, p1))
+        if e.tag != TAG_JUMP:
+            self._removed_registry.add(edge_key(e.tag, p1, p0))
+        self.remove_edge(eid)
 
     # -- connectivity -----------------------------------------------------
 

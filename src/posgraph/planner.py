@@ -1,11 +1,11 @@
 """Search loop that interlaces per-action growth with lazy path confirmation.
 
-Each cycle applies finished confirmation verdicts, lets every action perform
-queued posture transitions and grow toward one random target, broadcasts new
-vertices to the other actions, and then tries to extract and confirm a
-start-to-goal path. Indeterminate edges on a candidate path are pulled from
-the graph and handed to confirmation jobs, which run a few quanta at the start
-of every cycle; the path is only returned once every edge on it is proven.
+Each cycle lets every gait perform queued posture transitions, grows every
+action toward one random target and broadcasts new vertices to the gaits.
+Then it extracts the shortest start-to-goal path and confirms it edge by
+edge; the first refuted edge drops the path, and the next shortest one is
+extracted in the same cycle until one is proven or start and goal are cut
+apart.
 """
 from __future__ import annotations
 
@@ -14,9 +14,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import confirm as confirm_mod
 from .actions import STEP, Action, GaitAction, JumpAction, build_actions, graph_checks
-from .confirm import CONFIRMED, ConfirmationQueue, EdgeSnapshot
+from .confirm import CONFIRMED, ConfirmationQueue, EdgeSnapshot, JumpTrajectory, Verdict
 from .graph import (
     EdgeStatus,
     HEADING_FREE_WEIGHTS,
@@ -48,8 +47,6 @@ MAX_TRANSITIONS_PER_CYCLE = 5
 GOAL_RADIUS = 0.3
 # share of growth targets that are a goal pose instead of a uniform sample
 GOAL_BIAS = 0.1
-# confirmation-job quanta run at the start of every cycle
-QUANTA_PER_CYCLE = 8
 
 
 def _plain_int(x) -> bool:
@@ -66,7 +63,7 @@ class PlannerConfig:
     checked to be >= 1, so that existing callers keep working. The tuning
     values are module constants: `STEP` in `actions`, the surcharges in
     `graph`, `ConfirmationQueue.QUANTUM` in `confirm`, the metric weights in
-    `world` and the per-cycle caps, goal radius and goal bias here.
+    `world` and the per-cycle transition cap, goal radius and goal bias here.
     """
 
     t_max: float = 60.0
@@ -117,7 +114,7 @@ class Planner:
         self.queue = ConfirmationQueue(world)
         self.rng = random.Random(self.config.seed)
         self.stats = PlannerStats()
-        self.trajectories: dict[int, confirm_mod.JumpTrajectory] = {}
+        self.trajectories: dict[int, JumpTrajectory] = {}
         self.events: list[str] = []
         self._gait_tags = [a.tag for a in self.actions if isinstance(a, GaitAction)]
         # connect lays at most one world diagonal of gait steps, plus slack
@@ -155,15 +152,16 @@ class Planner:
     # -- cycle pieces -----------------------------------------------------
 
     def _broadcast(self, source: Action | None, new_ids: list[int]):
+        """Offer new vertices to every other gait for posture transitions."""
         for a in self.actions:
-            if a is source:
+            if a is source or not isinstance(a, GaitAction):
                 continue
             for vid in new_ids:
                 a.queue.add(vid)
 
-    def perform_transitions(self, action: Action) -> list[int]:
+    def perform_transitions(self, action: GaitAction) -> list[int]:
         """Pop up to the per-cycle cap of queued foreign vertices and try to
-        transition from each onto this action's manifold."""
+        transition from each onto this gait's manifold."""
         new_ids: list[int] = []
         cap = min(MAX_TRANSITIONS_PER_CYCLE, len(action.queue))
         for _ in range(cap):
@@ -191,7 +189,7 @@ class Planner:
 
         Dedup merges and already-live edges are walked through, so a chain can
         thread previously explored space; it stops at the first failed
-        condition, on a refuted or pending edge key, or at the target.
+        condition, on a refuted edge key, or at the target.
         """
         g = self.graph
         new_ids: list[int] = []
@@ -367,14 +365,13 @@ class Planner:
     # -- confirmation -----------------------------------------------------
 
     def confirm_path(self, path: PathResult) -> bool:
-        """Alg-2 style pass over a candidate path.
+        """Alg-2 style pass over a candidate path, one edge at a time.
 
         Edges already proven stay; edges whose sufficient condition holds now
-        get upgraded in place; the rest are deferred to confirmation jobs.
-        True only when every edge on the path is proven.
+        get upgraded in place; each other edge runs its job to a verdict at
+        once. True only when every edge is proven; stops at the first refuted.
         """
         g = self.graph
-        all_ok = True
         for eid in path.edge_ids:
             e = g.edges[eid]
             if e.status in (EdgeStatus.SUFFICIENT, EdgeStatus.JOB_CONFIRMED):
@@ -385,25 +382,47 @@ class Planner:
             if action.sufficient_edge(g.vertices[e.src].pose, g.vertices[e.dst].pose):
                 g.mark_sufficient(eid)
                 continue
-            all_ok = False
-            snapshot = EdgeSnapshot.of_edge(g, e)
-            g.defer_edge(eid)
-            self.queue.submit(action.spawn_confirmation_job(snapshot))
+            self.queue.submit(action.spawn_confirmation_job(EdgeSnapshot.of_edge(g, e)))
             self.stats.jobs_spawned += 1
-        return all_ok
+            while self.queue.pending_count():
+                self.queue.step(1)
+            (verdict,) = self.queue.drain_verdicts()
+            if not self._settle(verdict):
+                return False
+        return True
+
+    def _settle(self, verdict: Verdict) -> bool:
+        """Apply one job's verdict to its edge; True if it was confirmed."""
+        eid = verdict.edge.edge_id
+        confirmed = verdict.outcome == CONFIRMED
+        self.graph.settle_edge(eid, confirmed)
+        if confirmed:
+            self.stats.jobs_confirmed += 1
+            if verdict.trajectory is not None:
+                self.trajectories[eid] = verdict.trajectory
+        else:
+            self.stats.jobs_refuted += 1
+        self.events.append(f"CONFIRM {eid} {verdict.outcome}")
+        return confirmed
 
     def _apply_verdicts(self):
-        for v in self.queue.drain_verdicts():
-            snap = v.edge
-            confirmed = v.outcome == CONFIRMED
-            ids = self.graph.settle_edge(snap.src, snap.dst, snap.tag, confirmed, snap.apex, snap.cost)
-            if confirmed:
-                self.stats.jobs_confirmed += 1
-                if ids and v.trajectory is not None:
-                    self.trajectories[ids[0]] = v.trajectory
-            else:
-                self.stats.jobs_refuted += 1
-            self.events.append(f"CONFIRM {snap.edge_id} {v.outcome}")
+        """Settle verdicts left in the outbox: none, as `confirm_path` settles
+        each at once. Kept because perfbench's tracer counts cycles on it."""
+        for verdict in self.queue.drain_verdicts():
+            self._settle(verdict)
+
+    def _extract_confirmed(self, deadline: float) -> PathResult | None:
+        """Confirm shortest paths until one is proven or start and goal are cut
+        apart (each failure removes an edge); checks the deadline between."""
+        g = self.graph
+        for gid in g.goal_ids:
+            while g.connected(g.start_id, gid):
+                path = g.shortest_path(g.start_id, gid)
+                if self.confirm_path(path):
+                    return path
+                if time.monotonic() >= deadline:
+                    return None
+        return None
 
     # -- main loop --------------------------------------------------------
 
@@ -420,30 +439,25 @@ class Planner:
             # a cycle, and unbounded memos cost memory on long solves
             for action in self.actions:
                 action.clear_memos()
-            self.queue.step(QUANTA_PER_CYCLE)
             self._apply_verdicts()
             for action in self.actions:
                 if time.monotonic() >= deadline:
                     break
-                new_ids = self.perform_transitions(action)
+                gait = isinstance(action, GaitAction)
+                # the jump owns no manifold, so it takes no transitions
+                new_ids = self.perform_transitions(action) if gait else []
                 if new_ids:
                     self.events.append(f"TRANS {action.tag} {len(new_ids)}")
                 target = self._sample_target()
-                if isinstance(action, GaitAction):
-                    grown = self.grow_holonomic(action, target)
-                else:
-                    grown = self.grow_nonholonomic(action, target)
+                grown = self.grow_holonomic(action, target) if gait else self.grow_nonholonomic(action, target)
                 new_ids += grown
                 self.events.append(f"GROW {action.tag} {len(grown)}")
                 self._broadcast(action, new_ids)
                 self._link_goals(new_ids)
-            for gid in self.graph.goal_ids:
-                if not self.graph.connected(self.graph.start_id, gid):
-                    continue
-                path = self.graph.shortest_path(self.graph.start_id, gid)
-                if path is not None and self.confirm_path(path):
-                    self.stats.elapsed = time.monotonic() - t0
-                    return path
+            path = self._extract_confirmed(deadline)
+            if path is not None:
+                self.stats.elapsed = time.monotonic() - t0
+                return path
         self.stats.elapsed = time.monotonic() - t0
         return None
 

@@ -86,7 +86,6 @@ def test_sufficient_implies_necessary_fuzz(profile):
 def test_jump_sufficient_is_constantly_false(open_world, profile):
     jump = build_actions(["jump"], profile, open_world)[0]
     assert not jump.sufficient_edge(Pose(2, 4, 0, 1.0), Pose(3, 4, 0, 0.3))
-    assert not jump.necessary_vertex(Pose(5, 4, 0, 1.0))
 
 
 # -- motion primitives ----------------------------------------------------
@@ -138,8 +137,13 @@ def test_transition_from_switches_manifold_in_place(open_world, profile):
 
 
 def test_jump_never_accepts_transitions(open_world, profile):
-    jump = build_actions(["jump"], profile, open_world)[0]
-    assert jump.transition_from(Pose(5, 4, 0, 1.0)) is None
+    pl = Planner(open_world, profile, Pose(1, 1, 0, 1.0), [Pose(9, 7, 0, 1.0)], ["walk", "crawl", "jump"], PlannerConfig())
+    pl._init_endpoints()
+    walk, crawl, jump = pl.actions
+    # start and goal are offered to both gaits; the jump owns no manifold,
+    # so it keeps no transition queue
+    assert len(walk.queue) == len(crawl.queue) == 2
+    assert not hasattr(jump, "queue") and not hasattr(jump, "transition_from")
 
 
 def test_transition_queue_admits_each_vertex_once():

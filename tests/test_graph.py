@@ -134,8 +134,7 @@ def test_registry_blocks_reinsertion_after_refutation():
     eid = next(iter(g.edges))
     p0 = g.vertices[a].pose
     p1 = g.vertices[b].pose
-    g.defer_edge(eid)
-    assert g.settle_edge(a, b, TAG_WALK, False, None, 1.0) == []
+    g.settle_edge(eid, False)
     # both keys stay blocked for good, and no edge comes back
     assert g.edge_blocked(TAG_WALK, p0, p1) and g.edge_blocked(TAG_WALK, p1, p0)
     assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT) == []
@@ -145,21 +144,13 @@ def test_registry_blocks_reinsertion_after_refutation():
     assert not g.edge_blocked(TAG_CRAWL, p0, p1)
 
 
-def test_pending_keys_block_then_clear():
-    g = PossibilityGraph()
-    a, b = build_line(g, TAG_WALK, [0.0, 1.0])
-    g.defer_edge(next(iter(g.edges)))
-    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT) == []
-    assert len(g.settle_edge(a, b, TAG_WALK, True, None, 1.0)) == 2
-
-
 def test_deferred_jump_blocks_only_its_forward_key():
     g = PossibilityGraph()
     a = g.insert_vertex(Pose(0, 0, 0, 1.0), TAG_WALK)
     b = g.insert_vertex(Pose(1, 0, 0, 0.3), TAG_CRAWL)
     p0, p1 = g.vertices[a].pose, g.vertices[b].pose
     (eid,) = g.insert_edge(a, b, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2)
-    g.defer_edge(eid)
+    g.settle_edge(eid, False)
     assert g.edges == {}
     assert g.edge_blocked(TAG_JUMP, p0, p1)
     assert not g.edge_blocked(TAG_JUMP, p1, p0)
@@ -168,29 +159,46 @@ def test_deferred_jump_blocks_only_its_forward_key():
 
 def test_deferred_gait_edge_blocks_both_keys():
     g = PossibilityGraph()
-    a, b = build_line(g, TAG_WALK, [0.0, 1.0])
+    a, b = build_line(g, TAG_WALK, [0.0, 1.0], EdgeStatus.INDETERMINATE)
     p0, p1 = g.vertices[a].pose, g.vertices[b].pose
-    g.defer_edge(next(iter(g.edges)))
+    g.settle_edge(next(iter(g.edges)), False)
+    # the twin is settled with the edge it shares every step with
     assert g.edges == {}
     assert g.edge_blocked(TAG_WALK, p0, p1) and g.edge_blocked(TAG_WALK, p1, p0)
     assert not g.edge_live(TAG_WALK, p0, p1) and not g.edge_live(TAG_WALK, p1, p0)
     assert g.insert_edge(b, a, TAG_WALK, EdgeStatus.SUFFICIENT) == []
+    g.audit()
 
 
-def test_confirmed_settle_reinserts_twinned_job_confirmed_pair():
+def test_confirmed_settle_marks_twinned_pair_in_place():
     g = PossibilityGraph()
-    a, b = build_line(g, TAG_WALK, [0.0, 1.0])
-    g.defer_edge(next(iter(g.edges)))
-    ids = g.settle_edge(a, b, TAG_WALK, True, None, 0.75)
-    assert len(ids) == 2
+    a, b = build_line(g, TAG_WALK, [0.0, 1.0], EdgeStatus.INDETERMINATE)
+    p0, p1 = g.vertices[a].pose, g.vertices[b].pose
+    ids = sorted(g.edges)
+    g.settle_edge(ids[1], True)
+    # same ids, same endpoints and cost: only the status changes, twin included
+    assert sorted(g.edges) == ids
     e0, e1 = (g.edges[i] for i in ids)
     assert (e0.src, e0.dst, e1.src, e1.dst) == (a, b, b, a)
     assert e0.twin == e1.id and e1.twin == e0.id
-    assert all(e.status == EdgeStatus.JOB_CONFIRMED and e.cost == 0.75 for e in (e0, e1))
+    assert all(e.status == EdgeStatus.JOB_CONFIRMED and e.cost == 1.0 for e in (e0, e1))
+    # the live pair keeps blocking a duplicate, and no key is refuted
+    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT) == []
     g.audit()
-    # no key stays pending or refuted: once removed, the pair may come back
     g.remove_edge(ids[0])
+    assert not g.edge_blocked(TAG_WALK, p0, p1) and not g.edge_blocked(TAG_WALK, p1, p0)
     assert len(g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT)) == 2
+
+
+def test_confirmed_jump_settles_only_itself():
+    g = PossibilityGraph()
+    a = g.insert_vertex(Pose(0, 0, 0, 1.0), TAG_WALK)
+    b = g.insert_vertex(Pose(1, 0, 0, 0.3), TAG_CRAWL)
+    (fwd,) = g.insert_edge(a, b, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2)
+    (back,) = g.insert_edge(b, a, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2)
+    g.settle_edge(fwd, True)
+    assert g.edges[fwd].status == EdgeStatus.JOB_CONFIRMED and g.edges[fwd].apex == 0.2
+    assert g.edges[back].status == EdgeStatus.INDETERMINATE
 
 
 def test_edge_key_includes_heading():

@@ -1,6 +1,7 @@
 """Planner loop: chain growth, transitions, jump seeding, lazy confirmation."""
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -170,23 +171,20 @@ def seeded_edge_planner(world, profile):
     return pl
 
 
-def test_confirm_path_spawns_job_then_reinserts_confirmed(profile):
+def test_confirm_path_runs_job_and_confirms_in_place(profile):
     pl = seeded_edge_planner(hole_between_footholds(), profile)
     g = pl.graph
     path = g.shortest_path(g.start_id, g.goal_ids[0])
-    assert not pl.confirm_path(path)
+    ids = sorted(g.edges)
+    assert pl.confirm_path(path)  # the job ran to its verdict within the call
+    assert pl.stats.jobs_spawned == pl.stats.jobs_confirmed == 1
+    assert pl.queue.pending_count() == 0
+    # the edge and its twin keep their ids and are now proven
+    assert sorted(g.edges) == ids
+    assert all(g.edges[eid].status == EdgeStatus.JOB_CONFIRMED for eid in ids)
+    assert pl.events[-1] == f"CONFIRM {path.edge_ids[0]} confirmed"
+    assert pl.confirm_path(path)  # proven edges spawn no second job
     assert pl.stats.jobs_spawned == 1
-    assert g.edge_count() == 0  # speculatively removed while the job runs
-    assert g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE) == []
-    pl.queue.step(8)
-    pl._apply_verdicts()
-    assert pl.stats.jobs_confirmed == 1
-    path = g.shortest_path(g.start_id, g.goal_ids[0])
-    assert path is not None
-    assert path.cost == pytest.approx(1.0)
-    assert all(g.edges[eid].status == EdgeStatus.JOB_CONFIRMED for eid in path.edge_ids)
-    assert pl.confirm_path(path)
-    assert any(ev.endswith("confirmed") for ev in pl.events)
 
 
 def test_confirm_path_blocks_refuted_edge_for_good(profile):
@@ -194,11 +192,79 @@ def test_confirm_path_blocks_refuted_edge_for_good(profile):
     g = pl.graph
     path = g.shortest_path(g.start_id, g.goal_ids[0])
     assert not pl.confirm_path(path)
-    pl.queue.step(8)
-    pl._apply_verdicts()
     assert pl.stats.jobs_refuted == 1
     assert g.shortest_path(g.start_id, g.goal_ids[0]) is None
     assert g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE) == []
+
+
+def test_confirm_path_stops_at_first_refutation(profile):
+    world = hole_under_foothold()
+    pl = make_planner(world, profile, Pose(1.6, 1, 0, 1.0), Pose(3.6, 1, 0, 1.0), ["walk"])
+    pl._init_endpoints()
+    g = pl.graph
+    mid = g.insert_vertex(Pose(2.6, 1, 0, 1.0), TAG_WALK)
+    assert g.insert_edge(g.start_id, mid, TAG_WALK, EdgeStatus.INDETERMINATE)
+    assert g.insert_edge(mid, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE)
+    path = g.shortest_path(g.start_id, g.goal_ids[0])
+    first, second = path.edge_ids
+    assert not pl.confirm_path(path)
+    assert pl.stats.jobs_spawned == pl.stats.jobs_refuted == 1
+    assert pl.queue._next_job_id == 1  # exactly one job was submitted
+    assert first not in g.edges
+    assert g.edges[second].status == EdgeStatus.INDETERMINATE
+
+
+def detour_planner(profile, monkeypatch, **cfg):
+    """A walk planner whose graph offers a direct edge over a hole that its
+    job refutes, and a longer detour on open ground; growth is switched off
+    so the two routes are all there is."""
+    pl = make_planner(hole_under_foothold(), profile, Pose(1.6, 1, 0, 1.0), Pose(2.6, 1, 0, 1.0), ["walk"], **cfg)
+    init = pl._init_endpoints
+
+    def seeded():
+        init()
+        g = pl.graph
+        corners = [g.insert_vertex(Pose(x, 2.5, 0, 1.0), TAG_WALK) for x in (1.6, 2.6)]
+        chain = [g.start_id, *corners, g.goal_ids[0]]
+        for a, b in zip(chain, chain[1:]):
+            assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.INDETERMINATE)
+        assert g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE)
+
+    monkeypatch.setattr(pl, "_init_endpoints", seeded)
+    monkeypatch.setattr(pl, "grow_holonomic", lambda action, target: [])
+    return pl
+
+
+def test_find_path_takes_the_other_route_in_the_same_cycle(profile, monkeypatch):
+    pl = detour_planner(profile, monkeypatch)
+    path = pl.find_path()
+    assert path is not None
+    assert path.cost == pytest.approx(4.0)
+    assert pl.stats.cycles == 1 and "CYCLE 2" not in pl.events
+    # one job refuted the direct edge; the detour passed its sufficient checks
+    assert [ev.split()[-1] for ev in pl.events if ev.startswith("CONFIRM")] == ["refuted"]
+    g = pl.graph
+    assert g.edge_blocked(TAG_WALK, g.vertices[g.start_id].pose, g.vertices[g.goal_ids[0]].pose)
+    assert all(g.edges[eid].status == EdgeStatus.SUFFICIENT for eid in path.edge_ids)
+
+
+def test_find_path_checks_the_deadline_before_extracting_again(profile, monkeypatch):
+    import posgraph.planner as planner_mod
+
+    clock = [0.0]
+    monkeypatch.setattr(planner_mod, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    pl = detour_planner(profile, monkeypatch, t_max=10.0)
+    settle = pl.graph.settle_edge
+
+    def settle_then_expire(eid, confirmed):
+        settle(eid, confirmed)
+        if not confirmed:
+            clock[0] = 100.0
+
+    monkeypatch.setattr(pl.graph, "settle_edge", settle_then_expire)
+    assert pl.find_path() is None
+    assert [ev.split()[-1] for ev in pl.events if ev.startswith("CONFIRM")] == ["refuted"]
+    assert pl.stats.cycles == 1
 
 
 def test_confirm_path_upgrades_currently_sufficient_edges(profile):
