@@ -170,24 +170,33 @@ def test_deferred_gait_edge_blocks_both_keys():
     g.audit()
 
 
-def test_confirmed_settle_marks_twinned_pair_in_place():
+def test_pending_keys_block_then_clear():
     g = PossibilityGraph()
     a, b = build_line(g, TAG_WALK, [0.0, 1.0], EdgeStatus.INDETERMINATE)
     p0, p1 = g.vertices[a].pose, g.vertices[b].pose
+    # a pair awaiting its verdict blocks a duplicate, and still does once confirmed
+    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT) == []
+    g.settle_edge(next(iter(g.edges)), True)
+    assert g.edge_count() == 2
+    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT) == []
+    # no key is refuted: once the pair is removed, both keys clear
+    g.remove_edge(min(g.edges))
+    assert not g.edge_blocked(TAG_WALK, p0, p1) and not g.edge_blocked(TAG_WALK, p1, p0)
+    assert len(g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT)) == 2
+
+
+def test_confirmed_settle_reinserts_twinned_job_confirmed_pair():
+    g = PossibilityGraph()
+    a, b = build_line(g, TAG_WALK, [0.0, 1.0], EdgeStatus.INDETERMINATE)
     ids = sorted(g.edges)
     g.settle_edge(ids[1], True)
-    # same ids, same endpoints and cost: only the status changes, twin included
+    # the pair is marked in place: same ids, endpoints and cost, twin included
     assert sorted(g.edges) == ids
     e0, e1 = (g.edges[i] for i in ids)
     assert (e0.src, e0.dst, e1.src, e1.dst) == (a, b, b, a)
     assert e0.twin == e1.id and e1.twin == e0.id
     assert all(e.status == EdgeStatus.JOB_CONFIRMED and e.cost == 1.0 for e in (e0, e1))
-    # the live pair keeps blocking a duplicate, and no key is refuted
-    assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT) == []
     g.audit()
-    g.remove_edge(ids[0])
-    assert not g.edge_blocked(TAG_WALK, p0, p1) and not g.edge_blocked(TAG_WALK, p1, p0)
-    assert len(g.insert_edge(a, b, TAG_WALK, EdgeStatus.SUFFICIENT)) == 2
 
 
 def test_confirmed_jump_settles_only_itself():
