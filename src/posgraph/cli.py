@@ -110,7 +110,7 @@ class TrialRecord:
     elapsed: float
     cost: float | None
     tags: tuple[str, ...] = ()
-    edges: tuple = ()  # (EdgeSnapshot, status value) pairs when captured
+    edges: tuple = ()  # (EdgeSnapshot, status value) pairs, one per path edge
 
 
 @dataclass
@@ -135,12 +135,11 @@ def run_benchmark(
     trials: int,
     base_seed: int = 0,
     time_limit: float = 60.0,
-    keep_edges: bool = False,
 ) -> BenchResult:
     """Repeated solves with consecutive seeds; shared by the CLI and tests.
 
-    With keep_edges the per-trial records also carry each solution edge as a
-    (snapshot, status) pair so callers can re-validate paths afterwards.
+    Each per-trial record also carries each solution edge as a (snapshot,
+    status) pair so callers can re-validate paths afterwards.
     """
     from .confirm import EdgeSnapshot
 
@@ -155,10 +154,7 @@ def run_benchmark(
         if path is not None:
             g = planner.graph
             tags = tuple(g.edges[eid].tag for eid in path.edge_ids)
-            if keep_edges:
-                edges = tuple(
-                    (EdgeSnapshot.of_edge(g, g.edges[eid]), g.edges[eid].status.value) for eid in path.edge_ids
-                )
+            edges = tuple((EdgeSnapshot.of_edge(g, g.edges[eid]), g.edges[eid].status.value) for eid in path.edge_ids)
         records.append(
             TrialRecord(
                 trial=t,

@@ -1,10 +1,12 @@
 """Confirmation jobs: fine-grained gait sweeps and ballistic jump solves.
 
-An indeterminate edge on a candidate path becomes a resumable job. The queue
-runs jobs cooperatively in bounded quanta (collision checks are the unit of
-work) and requeues unfinished jobs at the back, so short jobs never starve
-behind long ones. The planner submits one job at a time and steps it to its
-verdict, job-confirmed or refuted, before it looks at the next path edge.
+An indeterminate edge on a candidate path becomes a resumable job. A gait job
+sweeps the edge finely and checks footholds; a jump job solves its take-off in
+closed form, then sweeps the arc and checks the landing. The queue runs jobs
+cooperatively in bounded quanta (collision checks are the unit of work) and
+requeues unfinished jobs at the back, so short jobs never starve behind long
+ones. The planner submits one job at a time and steps it to its verdict,
+job-confirmed or refuted, before it looks at the next path edge.
 """
 from __future__ import annotations
 
@@ -80,20 +82,16 @@ class Verdict:
 # ballistic boundary-value solve
 
 
-def _takeoff_speed_sq(T: float, d: float, dz: float, g: float) -> float:
-    vh = d / T
-    vz = dz / T + 0.5 * g * T
-    return vh * vh + vz * vz
-
-
 def solve_jump_bvp(p_launch: Pose, p_land: Pose, profile: RobotProfile) -> JumpTrajectory | None:
     """Pick the standing jump that needs the least take-off effort.
 
     The jump starts from rest, so take-off speed squared is the proxy for the
     accelerations spent leaving the ground. Candidate trajectories form a
-    one-parameter family in flight time T; the launch-elevation window bounds
-    T, a 64-point grid plus local refinement finds the minimum, and the result
-    stands only if the speed fits under v_max.
+    one-parameter family in flight time T, and the launch-elevation window
+    bounds T. v^2(T) = (d^2 + dz^2) / T^2 + g dz + g^2 T^2 / 4 is convex in
+    T^2 with its free minimum at T^2 = 2 hypot(d, dz) / g, so that T clamped
+    into the window is the minimum over the window. The result stands only if
+    the speed fits under v_max.
     """
     dx = p_land.x - p_launch.x
     dy = p_land.y - p_launch.y
@@ -112,33 +110,12 @@ def solve_jump_bvp(p_launch: Pose, p_land: Pose, profile: RobotProfile) -> JumpT
     t_lo = math.sqrt(lo2) if lo2 > 0.0 else min(1e-4, 0.5 * t_hi)
     if t_lo >= t_hi:
         return None
-    ts = _linspace(t_lo, t_hi, 64)
-    vv = [_takeoff_speed_sq(t, d, dz, g) for t in ts]
-    i = vv.index(min(vv))  # the first minimum
-    a = ts[max(0, i - 1)]
-    b = ts[min(len(ts) - 1, i + 1)]
-    # objective is unimodal in T on this bracket; golden-section to 1e-6
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - (b - a) * invphi
-    e = a + (b - a) * invphi
-    fc = _takeoff_speed_sq(c, d, dz, g)
-    fe = _takeoff_speed_sq(e, d, dz, g)
-    while b - a > 1e-6:
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - (b - a) * invphi
-            fc = _takeoff_speed_sq(c, d, dz, g)
-        else:
-            a, c, fc = c, e, fe
-            e = a + (b - a) * invphi
-            fe = _takeoff_speed_sq(e, d, dz, g)
-    T = 0.5 * (a + b)
-    v2 = _takeoff_speed_sq(T, d, dz, g)
-    speed = math.sqrt(v2)
-    if speed > profile.v_max + 1e-12:
-        return None
+    T = min(max(math.sqrt(2.0 * math.hypot(d, dz) / g), t_lo), t_hi)
     vh = d / T
     vz0 = dz / T + 0.5 * g * T
+    speed = math.sqrt(vh * vh + vz0 * vz0)
+    if speed > profile.v_max + 1e-12:
+        return None
     elevation = math.atan2(vz0, vh)
     rise = vz0 * vz0 / (2.0 * g) if vz0 > 0 else 0.0
     arc_len = d + 2.0 * rise
@@ -241,44 +218,37 @@ class GaitConfirmJob:
 
 class JumpConfirmJob:
     """Solve the take-off problem for a jump edge, then fly the solved arc
-    through the world and check the landing support."""
+    through the world and check the landing support.
 
-    # rough work charge for the grid+refine solve, in collision-check units
-    SOLVE_COST = 100
+    The closed-form solve is cheap, so the first step runs it with no work
+    charge; the arc sweep resumes across budgets.
+    """
 
     def __init__(self, edge: EdgeSnapshot, profile: RobotProfile):
         self.edge = edge
         self.profile = profile
         self.job_id = -1
-        self._solved = False
         self._trajectory: JumpTrajectory | None = None
-        self._pts: tuple[tuple[float, float, float], ...] = ()
         self._cursor = 0
 
     def step(self, budget: int, world: WorldModel) -> Verdict | None:
         prof = self.profile
-        while budget > 0:
-            if not self._solved:
-                if budget < self.SOLVE_COST:
-                    return None
-                self._trajectory = solve_jump_bvp(self.edge.pose_src, self.edge.pose_dst, prof)
-                self._solved = True
-                budget -= self.SOLVE_COST
-                if self._trajectory is None:
-                    return Verdict(self.job_id, self.edge, REFUTED)
-                self._pts = self._trajectory.points
-            elif self._cursor < len(self._pts):
-                k = min(budget, len(self._pts) - self._cursor)
-                xs, ys, zs = zip(*self._pts[self._cursor : self._cursor + k])
-                if _spheres_hit_boxes(xs, ys, zs, prof.r_jump, world._obs):
-                    return Verdict(self.job_id, self.edge, REFUTED)
-                self._cursor += k
-                budget -= k
-            else:
-                ok = landing_supported(self.edge.pose_dst, prof, world)
-                outcome = CONFIRMED if ok else REFUTED
-                return Verdict(self.job_id, self.edge, outcome, self._trajectory if ok else None)
-        return None
+        if self._trajectory is None:
+            self._trajectory = solve_jump_bvp(self.edge.pose_src, self.edge.pose_dst, prof)
+            if self._trajectory is None:
+                return Verdict(self.job_id, self.edge, REFUTED)
+        pts = self._trajectory.points
+        k = min(budget, len(pts) - self._cursor)
+        if k > 0:
+            xs, ys, zs = zip(*pts[self._cursor : self._cursor + k])
+            if _spheres_hit_boxes(xs, ys, zs, prof.r_jump, world._obs):
+                return Verdict(self.job_id, self.edge, REFUTED)
+            self._cursor += k
+        if self._cursor < len(pts):
+            return None
+        ok = landing_supported(self.edge.pose_dst, prof, world)
+        outcome = CONFIRMED if ok else REFUTED
+        return Verdict(self.job_id, self.edge, outcome, self._trajectory if ok else None)
 
 
 ConfirmationJob = GaitConfirmJob | JumpConfirmJob

@@ -2,7 +2,7 @@
 
 The graph owns each edge's lifecycle: live -> job-confirmed or refuted.
 `insert_edge` admits an edge on its action's necessary condition, live as
-sufficient-confirmed or indeterminate; `mark_sufficient` upgrades it in place.
+sufficient-confirmed or indeterminate.
 `settle_edge` takes a confirmation job's verdict: it marks the edge
 job-confirmed in place, or records its keys as refuted for good and removes
 it. The tag sets the direction: a jump is one-way, any other edge has a twin
@@ -306,24 +306,16 @@ class PossibilityGraph:
                 self._uf_dirty.add(rec.tag)
         self._bump()
 
-    def _set_status(self, eid: int, status: EdgeStatus):
-        e = self.edges[eid]
-        e.status = status
-        if e.twin is not None and e.twin in self.edges:
-            self.edges[e.twin].status = status
-
-    def mark_sufficient(self, eid: int):
-        """Upgrade a live edge and its twin to sufficient-confirmed."""
-        self._set_status(eid, EdgeStatus.SUFFICIENT)
-
     def settle_edge(self, eid: int, confirmed: bool):
         """Apply a job's verdict to a live edge: mark it and its twin
         job-confirmed in place, or record their keys as refuted for good and
         remove both."""
-        if confirmed:
-            self._set_status(eid, EdgeStatus.JOB_CONFIRMED)
-            return
         e = self.edges[eid]
+        if confirmed:
+            e.status = EdgeStatus.JOB_CONFIRMED
+            if e.twin is not None and e.twin in self.edges:
+                self.edges[e.twin].status = EdgeStatus.JOB_CONFIRMED
+            return
         p0, p1 = self.vertices[e.src].pose, self.vertices[e.dst].pose
         self._removed_registry.add(edge_key(e.tag, p0, p1))
         if e.tag != TAG_JUMP:
@@ -402,7 +394,8 @@ class PossibilityGraph:
 
     def shortest_path(self, src: int, dst: int) -> PathResult | None:
         """Dijkstra over edge costs; equal-cost ties prefer wiring through the
-        lower incoming edge id, which keeps results deterministic."""
+        lower incoming edge id, which keeps results deterministic. Out-lists
+        are already in ascending edge id order (`audit` checks it)."""
         if src not in self.vertices or dst not in self.vertices:
             return None
         dist: dict[int, float] = {src: 0.0}
@@ -416,7 +409,7 @@ class PossibilityGraph:
             done.add(v)
             if v == dst:
                 break
-            for eid in sorted(self._out[v]):
+            for eid in self._out[v]:
                 e = self.edges[eid]
                 nd = d + e.cost
                 u = e.dst
@@ -491,6 +484,9 @@ class PossibilityGraph:
             chk = self.checks.get(v.tag)
             if chk and chk.vertex:
                 assert chk.vertex(v.pose), f"vertex {v.id} fails {v.tag} condition"
+        for vid, out in self._out.items():
+            # ids are allocated in ascending order and list.remove keeps it
+            assert out == sorted(out), f"out-list of vertex {vid} is not in edge id order"
         for e in self.edges.values():
             assert e.tag in EDGE_TAGS
             assert e.src in self.vertices and e.dst in self.vertices

@@ -367,9 +367,10 @@ class Planner:
     def confirm_path(self, path: PathResult) -> bool:
         """Alg-2 style pass over a candidate path, one edge at a time.
 
-        Edges already proven stay; edges whose sufficient condition holds now
-        get upgraded in place; each other edge runs its job to a verdict at
-        once. True only when every edge is proven; stops at the first refuted.
+        Edges already proven stay; each indeterminate edge runs its job to a
+        verdict at once. Insertion graded every edge on the same stored poses,
+        so the sufficient check is not run again. True only when every edge is
+        proven; stops at the first refuted.
         """
         g = self.graph
         for eid in path.edge_ids:
@@ -379,9 +380,6 @@ class Planner:
             # transition edges are always inserted as sufficient, so only gait
             # and jump edges get here
             action = self.actions_by_tag[e.tag]
-            if action.sufficient_edge(g.vertices[e.src].pose, g.vertices[e.dst].pose):
-                g.mark_sufficient(eid)
-                continue
             self.queue.submit(action.spawn_confirmation_job(EdgeSnapshot.of_edge(g, e)))
             self.stats.jobs_spawned += 1
             while self.queue.pending_count():

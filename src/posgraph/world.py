@@ -498,11 +498,18 @@ def floor_solid(pose: Pose, footprint: Footprint, world: WorldModel) -> bool:
 
     Disc footprints ignore pose.theta and pose.h entirely.
     """
-    return _supported(pose.x, pose.y, pose.theta, footprint, world, world._gap_boxes, world._gap_rects)
+    return _supported(pose.x, pose.y, pose.theta, footprint, world, _gap_shapes(footprint, world))
 
 
-def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gap_boxes, gap_rects) -> bool:
-    """`floor_solid` at one placement, against the given gaps in both forms."""
+def _gap_shapes(footprint: Footprint, world: WorldModel) -> tuple:
+    """The gaps in the one form the footprint's kernel tests: boxes for a
+    disc, rects for a rectangle."""
+    return world._gap_boxes if isinstance(footprint, DiscFootprint) else world._gap_rects
+
+
+def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bool:
+    """`floor_solid` at one placement, against the given gaps in the form
+    `_gap_shapes` picks."""
     if isinstance(footprint, DiscFootprint):
         r = footprint.radius
         if not (
@@ -512,7 +519,7 @@ def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gap_boxes, 
             and y + r <= world.bounds_y[1] + 1e-12
         ):
             return False
-        return not _disc_hits_any(x, y, r, gap_boxes)
+        return not _disc_hits_any(x, y, r, gaps)
     for cx, cy in _rect_corner_tuples(x, y, theta, footprint.length, footprint.width):
         if not (
             cx >= world.bounds_x[0] - 1e-12
@@ -521,15 +528,13 @@ def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gap_boxes, 
             and cy <= world.bounds_y[1] + 1e-12
         ):
             return False
-    return not _rect_hits_any(x, y, theta, footprint.length, footprint.width, gap_rects)
+    return not _rect_hits_any(x, y, theta, footprint.length, footprint.width, gaps)
 
 
 def _floor_solid_batch(xs, ys, thetas, footprint: Footprint, world: WorldModel) -> bool:
     """`floor_solid` at every sample, against the gaps near the samples."""
-    reach = footprint.max_radius + 1e-6
-    boxes = _near(world._gap_boxes, world._gap_boxes, xs, ys, reach)
-    rects = _near(world._gap_boxes, world._gap_rects, xs, ys, reach)
-    return all(_supported(x, y, th, footprint, world, boxes, rects) for x, y, th in zip(xs, ys, thetas))
+    gaps = _near(world._gap_boxes, _gap_shapes(footprint, world), xs, ys, footprint.max_radius + 1e-6)
+    return all(_supported(x, y, th, footprint, world, gaps) for x, y, th in zip(xs, ys, thetas))
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,7 @@ def matrix():
     results = {}
     for name, acts in MATRIX:
         sc = scenario_with_actions(name, acts)
-        results[(name, acts)] = run_benchmark(
-            sc, TRIALS, base_seed=0, time_limit=TIME_LIMIT, keep_edges=True
-        )
+        results[(name, acts)] = run_benchmark(sc, TRIALS, base_seed=0, time_limit=TIME_LIMIT)
     return SimpleNamespace(results=results, wall=time.monotonic() - t0)
 
 

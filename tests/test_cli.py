@@ -165,7 +165,7 @@ def test_bench_table_and_csv(tmp_path, capsys):
 
 def test_run_benchmark_keep_edges_snapshots():
     sc = builtin_scenario("three_routes_a")
-    res = run_benchmark(sc, trials=2, base_seed=0, time_limit=30.0, keep_edges=True)
+    res = run_benchmark(sc, trials=2, base_seed=0, time_limit=30.0)
     assert res.successes == 2
     for r in res.records:
         assert r.tags and len(r.edges) == len(r.tags)

@@ -114,6 +114,22 @@ def test_solver_matches_brute_force_grid(profile):
     assert checked > 280
 
 
+@pytest.mark.parametrize(
+    "d, dz, edge",
+    [
+        (1.0, -2.0, "jump_angle_min"),  # free optimum at 13.3 deg
+        (0.8, -1.5, "jump_angle_min"),  # free optimum at 14.0 deg
+        (0.1, 0.3, "jump_angle_max"),  # free optimum at 80.8 deg
+    ],
+)
+def test_free_optimum_outside_window_lands_on_its_edge(profile, d, dz, edge):
+    _, phi_star = min_effort_closed_form(d, dz)
+    assert not profile.jump_angle_min <= phi_star <= profile.jump_angle_max
+    traj = solve_jump_bvp(Pose(0, 0, 0, 2.5), Pose(d, 0, 0, 2.5 + dz), profile)
+    assert traj is not None and traj.speed <= profile.v_max
+    assert abs(traj.elevation - getattr(profile, edge)) <= 1e-12
+
+
 def test_empty_angle_window_agrees_infeasible(profile):
     # dz > d * tan(angle_max) leaves no admissible flight time
     d, dz = 0.3, 1.9
@@ -251,14 +267,19 @@ def test_jump_job_refutes_unreachable_landing(open_world, profile):
     assert v.outcome == REFUTED
 
 
-def test_jump_job_defers_solve_until_budget_allows(open_world, profile):
+def test_jump_job_resumes_across_small_budgets(profile):
+    w = WorldModel((0, 10), (0, 4), [], [GapRect((2.3, 2.9), (0, 4))])
+    one_shot = confirm_jump_edge(JumpConfirmJob(jump_snapshot(2.05, 3.35), profile), w)
     job = JumpConfirmJob(jump_snapshot(2.05, 3.35), profile)
-    assert job.step(JumpConfirmJob.SOLVE_COST - 1, open_world) is None
-    assert not job._solved
-    out = None
-    while out is None:
-        out = job.step(200, open_world)
-    assert out.outcome == CONFIRMED
+    steps = 0
+    while True:
+        v = job.step(5, w)
+        steps += 1
+        if v is not None:
+            break
+    assert v.outcome == one_shot.outcome == CONFIRMED
+    assert v.trajectory == one_shot.trajectory
+    assert steps > len(one_shot.trajectory.points) // 5  # actually exercised resumption
 
 
 # -- queue ----------------------------------------------------------------

@@ -226,9 +226,10 @@ def detour_planner(profile, monkeypatch, **cfg):
         g = pl.graph
         corners = [g.insert_vertex(Pose(x, 2.5, 0, 1.0), TAG_WALK) for x in (1.6, 2.6)]
         chain = [g.start_id, *corners, g.goal_ids[0]]
-        for a, b in zip(chain, chain[1:]):
-            assert g.insert_edge(a, b, TAG_WALK, EdgeStatus.INDETERMINATE)
-        assert g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE)
+        # graded as the planner grades its own edges: the detour passes its
+        # sufficient check, the direct edge over the hole does not
+        for a, b in [*zip(chain, chain[1:]), (g.start_id, g.goal_ids[0])]:
+            assert g.insert_edge(a, b, TAG_WALK, pl._gait_status(TAG_WALK, a, b))
 
     monkeypatch.setattr(pl, "_init_endpoints", seeded)
     monkeypatch.setattr(pl, "grow_holonomic", lambda action, target: [])
@@ -267,16 +268,19 @@ def test_find_path_checks_the_deadline_before_extracting_again(profile, monkeypa
     assert pl.stats.cycles == 1
 
 
-def test_confirm_path_upgrades_currently_sufficient_edges(profile):
+def test_confirm_path_does_not_regrade_an_indeterminate_edge(profile):
     world = WorldModel((0, 10), (0, 8), [], [])
     pl = make_planner(world, profile, Pose(1.6, 1, 0, 1.0), Pose(2.6, 1, 0, 1.0), ["walk"])
     pl._init_endpoints()
     g = pl.graph
+    # open ground: the planner would have graded this edge sufficient
+    assert pl._gait_status(TAG_WALK, g.start_id, g.goal_ids[0]) == EdgeStatus.SUFFICIENT
     g.insert_edge(g.start_id, g.goal_ids[0], TAG_WALK, EdgeStatus.INDETERMINATE)
     path = g.shortest_path(g.start_id, g.goal_ids[0])
-    assert pl.confirm_path(path)  # no job: upgraded in place, twin included
-    assert pl.stats.jobs_spawned == 0
-    assert all(e.status == EdgeStatus.SUFFICIENT for e in g.edges.values())
+    assert pl.confirm_path(path)  # one job, which confirms it, twin included
+    assert pl.stats.jobs_spawned == pl.stats.jobs_confirmed == 1
+    assert len(g.edges) == 2
+    assert all(e.status == EdgeStatus.JOB_CONFIRMED for e in g.edges.values())
 
 
 # -- goal linking and endpoints -------------------------------------------
