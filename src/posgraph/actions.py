@@ -43,11 +43,13 @@ class TransitionQueue:
 
     def __init__(self):
         self._items: list[int] = []
-        self._seen: set[int] = set()
+        self._seen = bytearray()  # one flag per vertex id
 
     def add(self, vid: int):
-        if vid not in self._seen:
-            self._seen.add(vid)
+        if vid >= len(self._seen):
+            self._seen.extend(bytes(vid + 1 - len(self._seen)))
+        if not self._seen[vid]:
+            self._seen[vid] = 1
             self._items.append(vid)
 
     def pop_random(self, rng: random.Random) -> int:

@@ -7,10 +7,15 @@ sufficient-confirmed or indeterminate.
 job-confirmed in place, or records its keys as refuted for good and removes
 it. The tag sets the direction: a jump is one-way, any other edge has a twin
 that shares every step.
+
+The start's and the goals' reach sets are live: inserting an edge extends them
+in place by a search from its new end; only a removal or new endpoints make the
+next query recompute them. Copy one before changing the graph while reading it.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -42,6 +47,8 @@ HEADING_FREE_WEIGHTS = (1.0, 1.0, 0.0, 1.0)
 # nearest_vertices returns at most this many vertices within this distance
 NEAREST_COUNT = 4
 NEAREST_RADIUS = 0.45
+# dump() joins its lines in blocks of this many, never holding one string per line
+DUMP_BLOCK = 512
 
 
 class EdgeStatus(str, Enum):
@@ -54,14 +61,15 @@ class ConditionViolation(RuntimeError):
     """Raised when a vertex insertion fails the re-asserted necessary condition."""
 
 
-@dataclass
+@dataclass(slots=True)
 class VertexRecord:
     id: int
     pose: Pose
     tag: str
+    qpose: tuple[int, int, int, int]  # quantize_pose(pose): this end of every edge key
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeRecord:
     id: int
     tag: str
@@ -157,20 +165,16 @@ class PossibilityGraph:
         self._uf: dict[str, _UnionFind] = {t: _UnionFind() for t in VERTEX_TAGS}
         self._uf_dirty: set[str] = set()
         self._removed_registry: set[tuple] = set()
-        self._live_keys: set[tuple] = set()
         self._vertex_keys: dict[tuple, int] = {}
-        self._version = 0
-        self._reach_cache: dict[str, tuple[int, frozenset[int]]] = {}
+        # "start" and "goal" reach sets; a missing one is recomputed on query
+        self._reach: dict[str, set[int]] = {}
 
     # -- bookkeeping ------------------------------------------------------
-
-    def _bump(self):
-        self._version += 1
 
     def set_endpoints(self, start_id: int, goal_ids: Iterable[int]):
         self.start_id = start_id
         self.goal_ids = list(goal_ids)
-        self._bump()
+        self._reach.clear()
 
     def vertex_count(self, tag: str | None = None) -> int:
         if tag is None:
@@ -194,18 +198,18 @@ class PossibilityGraph:
         chk = self.checks.get(tag)
         if chk and chk.vertex and not chk.vertex(pose):
             raise ConditionViolation(f"vertex pose fails necessary condition for {tag!r}: {pose}")
-        key = (tag, _qv(pose.x, _Q_XY), _qv(pose.y, _Q_XY), _qv(pose.h, _Q_H))
+        q = quantize_pose(pose)
+        key = (tag, q[0], q[1], q[3])
         if key in self._vertex_keys:
             return self._vertex_keys[key]
         vid = self._next_vid
         self._next_vid += 1
-        self.vertices[vid] = VertexRecord(vid, pose, tag)
+        self.vertices[vid] = VertexRecord(vid, pose, tag, q)
         self._out[vid] = []
         self._in[vid] = []
         self._tag_vertices[tag].append(vid)
         self._uf[tag].add(vid)
         self._vertex_keys[key] = vid
-        self._bump()
         return vid
 
     # -- edges ------------------------------------------------------------
@@ -224,11 +228,24 @@ class PossibilityGraph:
         return self._key_blocked(edge_key(tag, p0, p1))
 
     def _key_blocked(self, k: tuple) -> bool:
-        return k in self._removed_registry or k in self._live_keys
+        return k in self._removed_registry or self._key_live(k)
 
     def edge_live(self, tag: str, p0: Pose, p1: Pose) -> bool:
         """True if an edge with these quantized endpoints currently exists."""
-        return edge_key(tag, p0, p1) in self._live_keys
+        return self._key_live(edge_key(tag, p0, p1))
+
+    def _key_live(self, k: tuple) -> bool:
+        """Vertex dedup leaves at most one vertex per vertex tag on the
+        source's quantized pose, so only their out-edges can hold the key."""
+        tag, q0, q1 = k
+        for vtag in VERTEX_TAGS:
+            vid = self._vertex_keys.get((vtag, q0[0], q0[1], q0[3]))
+            if vid is not None and self.vertices[vid].qpose == q0:
+                for eid in self._out[vid]:
+                    e = self.edges[eid]
+                    if e.tag == tag and self.vertices[e.dst].qpose == q1:
+                        return True
+        return False
 
     def insert_edge(
         self,
@@ -252,39 +269,39 @@ class PossibilityGraph:
             raise ValueError(f"unknown edge tag {tag!r}")
         if src not in self.vertices or dst not in self.vertices:
             raise KeyError("edge endpoints must be existing vertices")
-        p0 = self.vertices[src].pose
-        p1 = self.vertices[dst].pose
-        fwd = edge_key(tag, p0, p1)
-        if self._key_blocked(fwd):
+        v0, v1 = self.vertices[src], self.vertices[dst]
+        p0, p1 = v0.pose, v1.pose
+        if self._key_blocked((tag, v0.qpose, v1.qpose)):
             return []
         chk = self.checks.get(tag)
         if chk and chk.edge and not chk.edge(p0, p1):
             return []
         c = self._edge_cost(p0, p1, tag) if cost is None else cost
-        ids = [self._add_one(src, dst, tag, status, c, apex, fwd)]
-        if tag != TAG_JUMP:
-            back = edge_key(tag, p1, p0)
-            if not self._key_blocked(back):
-                ids.append(self._add_one(dst, src, tag, status, c, apex, back))
-                self.edges[ids[0]].twin = ids[1]
-                self.edges[ids[1]].twin = ids[0]
+        ids = [self._add_one(src, dst, tag, status, c, apex)]
+        if tag != TAG_JUMP and not self._key_blocked((tag, v1.qpose, v0.qpose)):
+            ids.append(self._add_one(dst, src, tag, status, c, apex))
+            self.edges[ids[0]].twin = ids[1]
+            self.edges[ids[1]].twin = ids[0]
         if (
             tag in VERTEX_TAGS
-            and self.vertices[src].tag == tag
-            and self.vertices[dst].tag == tag
+            and v0.tag == tag
+            and v1.tag == tag
             and tag not in self._uf_dirty
         ):
             self._uf[tag].union(src, dst)
-        self._bump()
         return ids
 
-    def _add_one(self, src, dst, tag, status, cost, apex, key) -> int:
+    def _add_one(self, src, dst, tag, status, cost, apex) -> int:
         eid = self._next_eid
         self._next_eid += 1
         self.edges[eid] = EdgeRecord(eid, tag, src, dst, status, cost, apex)
         self._out[src].append(eid)
         self._in[dst].append(eid)
-        self._live_keys.add(key)
+        start, goal = self._reach.get("start"), self._reach.get("goal")
+        if start is not None and src in start and dst not in start:
+            self._bfs([dst], self._out, True, start)
+        if goal is not None and dst in goal and src not in goal:
+            self._bfs([src], self._in, False, goal)
         return eid
 
     def remove_edge(self, eid: int):
@@ -300,11 +317,9 @@ class PossibilityGraph:
             del self.edges[rec.id]
             self._out[rec.src].remove(rec.id)
             self._in[rec.dst].remove(rec.id)
-            k = edge_key(rec.tag, self.vertices[rec.src].pose, self.vertices[rec.dst].pose)
-            self._live_keys.discard(k)
             if rec.tag in VERTEX_TAGS:
                 self._uf_dirty.add(rec.tag)
-        self._bump()
+        self._reach.clear()
 
     def settle_edge(self, eid: int, confirmed: bool):
         """Apply a job's verdict to a live edge: mark it and its twin
@@ -316,10 +331,10 @@ class PossibilityGraph:
             if e.twin is not None and e.twin in self.edges:
                 self.edges[e.twin].status = EdgeStatus.JOB_CONFIRMED
             return
-        p0, p1 = self.vertices[e.src].pose, self.vertices[e.dst].pose
-        self._removed_registry.add(edge_key(e.tag, p0, p1))
+        q0, q1 = self.vertices[e.src].qpose, self.vertices[e.dst].qpose
+        self._removed_registry.add((e.tag, q0, q1))
         if e.tag != TAG_JUMP:
-            self._removed_registry.add(edge_key(e.tag, p1, p0))
+            self._removed_registry.add((e.tag, q1, q0))
         self.remove_edge(eid)
 
     # -- connectivity -----------------------------------------------------
@@ -348,9 +363,14 @@ class PossibilityGraph:
             comps.setdefault(uf.find(vid), []).append(vid)
         return comps
 
-    def _bfs(self, seeds: Iterable[int], adjacency: dict[int, list[int]], forward: bool) -> frozenset[int]:
-        seen = set(s for s in seeds if s in self.vertices)
-        q = deque(seen)
+    def _bfs(
+        self, seeds: Iterable[int], adjacency: dict[int, list[int]], forward: bool, seen: set[int] | None = None
+    ) -> set[int]:
+        """Vertices reached from the seeds. Given `seen`, grows it in place
+        and does not pass the vertices already in it."""
+        seen = set() if seen is None else seen
+        q = deque(s for s in seeds if s in self.vertices and s not in seen)
+        seen.update(q)
         while q:
             v = q.popleft()
             for eid in adjacency[v]:
@@ -359,28 +379,24 @@ class PossibilityGraph:
                 if nxt not in seen:
                     seen.add(nxt)
                     q.append(nxt)
-        return frozenset(seen)
+        return seen
 
-    def reachable_from(self, src: int) -> frozenset[int]:
+    def reachable_from(self, src: int) -> set[int]:
         return self._bfs([src], self._out, True)
 
-    def start_reachable_set(self) -> frozenset[int]:
-        """Vertices reachable from the start along directed edges (cached)."""
-        cached = self._reach_cache.get("start")
-        if cached and cached[0] == self._version:
-            return cached[1]
-        result = self._bfs([self.start_id] if self.start_id is not None else [], self._out, True)
-        self._reach_cache["start"] = (self._version, result)
-        return result
+    def start_reachable_set(self) -> set[int]:
+        """Vertices reachable from the start along directed edges. A live
+        set: copy it before changing the graph."""
+        if "start" not in self._reach:
+            self._reach["start"] = self._bfs([self.start_id], self._out, True)
+        return self._reach["start"]
 
-    def goal_reaching_set(self) -> frozenset[int]:
-        """Vertices from which some goal is reachable (cached)."""
-        cached = self._reach_cache.get("goal")
-        if cached and cached[0] == self._version:
-            return cached[1]
-        result = self._bfs(self.goal_ids, self._in, False)
-        self._reach_cache["goal"] = (self._version, result)
-        return result
+    def goal_reaching_set(self) -> set[int]:
+        """Vertices from which some goal is reachable. A live set: copy it
+        before changing the graph."""
+        if "goal" not in self._reach:
+            self._reach["goal"] = self._bfs(self.goal_ids, self._in, False)
+        return self._reach["goal"]
 
     def connected(self, src: int, dst: int) -> bool:
         """Directed reachability src -> dst over all live edges."""
@@ -437,15 +453,17 @@ class PossibilityGraph:
     def subgraph_closest(self, tag: str, target: Pose) -> list[_ClosestEntry]:
         """Per-component nearest vertex to target, sorted ascending by distance
         (ties toward the lower vertex id)."""
+        if tag in self._uf_dirty:
+            self._rebuild_uf(tag)
+        find = self._uf[tag].find
         best: dict[int, tuple[float, int]] = {}
-        comps = self.components(tag)
-        for root, vids in comps.items():
-            b = None
-            for vid in vids:
-                d = pose_distance(self.vertices[vid].pose, target)
-                if b is None or d < b[0] or (d == b[0] and vid < b[1]):
-                    b = (d, vid)
-            best[root] = b
+        # vertex ids ascend, so a strict `<` keeps the lower id on a tie
+        for vid in self._tag_vertices[tag]:
+            d = pose_distance(self.vertices[vid].pose, target)
+            root = find(vid)
+            b = best.get(root)
+            if b is None or d < b[0]:
+                best[root] = (d, vid)
         entries = [_ClosestEntry(root, vid, d) for root, (d, vid) in best.items()]
         entries.sort(key=lambda e: (e.distance, e.vertex_id))
         return entries
@@ -464,16 +482,22 @@ class PossibilityGraph:
     # -- serialization ----------------------------------------------------
 
     def dump(self) -> str:
-        """Line-oriented text: V id tag x y theta h / E id tag from to status cost."""
-        lines = []
+        """Line-oriented text: V id tag x y theta h / E id tag from to status
+        cost, each line ended by a newline; a graph with no lines dumps "\\n"."""
+        lines = self._dump_lines()
+        blocks = []
+        while block := list(itertools.islice(lines, DUMP_BLOCK)):
+            blocks.append("\n".join(block) + "\n")
+        return "".join(blocks) or "\n"
+
+    def _dump_lines(self):
         for vid in sorted(self.vertices):
             v = self.vertices[vid]
             p = v.pose
-            lines.append(f"V {vid} {v.tag} {p.x:.6f} {p.y:.6f} {p.theta:.6f} {p.h:.6f}")
+            yield f"V {vid} {v.tag} {p.x:.6f} {p.y:.6f} {p.theta:.6f} {p.h:.6f}"
         for eid in sorted(self.edges):
             e = self.edges[eid]
-            lines.append(f"E {eid} {e.tag} {e.src} {e.dst} {e.status.value} {e.cost:.6f}")
-        return "\n".join(lines) + "\n"
+            yield f"E {eid} {e.tag} {e.src} {e.dst} {e.status.value} {e.cost:.6f}"
 
     # -- self checks ------------------------------------------------------
 
@@ -484,6 +508,7 @@ class PossibilityGraph:
             chk = self.checks.get(v.tag)
             if chk and chk.vertex:
                 assert chk.vertex(v.pose), f"vertex {v.id} fails {v.tag} condition"
+            assert v.qpose == quantize_pose(v.pose), f"vertex {v.id} holds a stale quantized pose"
         for vid, out in self._out.items():
             # ids are allocated in ascending order and list.remove keeps it
             assert out == sorted(out), f"out-list of vertex {vid} is not in edge id order"
@@ -493,6 +518,11 @@ class PossibilityGraph:
             chk = self.checks.get(e.tag)
             if chk and chk.edge:
                 assert chk.edge(self.vertices[e.src].pose, self.vertices[e.dst].pose)
+        keys = {(e.tag, self.vertices[e.src].qpose, self.vertices[e.dst].qpose) for e in self.edges.values()}
+        assert len(keys) == len(self.edges), "two live edges share a quantized key"
+        fresh = {"start": self._bfs([self.start_id], self._out, True), "goal": self._bfs(self.goal_ids, self._in, False)}
+        for name, reach in self._reach.items():
+            assert reach == fresh[name], f"{name} reach set differs from a fresh search"
         for tag in VERTEX_TAGS:
             comps = self.components(tag)
             # compare against a fresh undirected BFS

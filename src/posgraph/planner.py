@@ -273,8 +273,8 @@ class Planner:
         ]
         cands.sort(key=lambda vid: (pose_distance(g.vertices[vid].pose, target), vid))
         useful = {vid: True for vid in cands}
-        start_set = g.start_reachable_set()
-        goal_set = g.goal_reaching_set()
+        # snapshots: the live reach sets grow as this loop inserts edges
+        start_set, goal_set = frozenset(g.start_reachable_set()), frozenset(g.goal_reaching_set())
         new_ids: list[int] = []
         for vid in cands:
             if not useful.get(vid, False):

@@ -34,7 +34,7 @@ def normalize_angle(a: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """A reduced-space configuration: planar position, heading, posture height."""
 
@@ -288,12 +288,10 @@ def _disc_hits_any(x, y, radius, boxes) -> bool:
     return False
 
 
-def _rect_hits_any(cx, cy, theta, length, width, rects) -> bool:
-    """Strict-interior overlap of one oriented rectangle with any box given as
-    (cx, cy, half x, half y) from `_aabb_rects`: a separating-axis test on the
-    two world axes and the two rectangle axes."""
-    c = math.cos(theta)
-    s = math.sin(theta)
+def _rect_hits_any(cx, cy, c, s, length, width, rects) -> bool:
+    """Strict-interior overlap of one rectangle, turned to cosine c and sine s,
+    with any box given as (cx, cy, half x, half y) from `_aabb_rects`: a
+    separating-axis test on the two world axes and the two rectangle axes."""
     hl = 0.5 * length
     hw = 0.5 * width
     ac = abs(c)
@@ -337,9 +335,7 @@ def _near(boxes, items, xs, ys, reach) -> list:
     return [it for b, it in zip(boxes, items) if b[0] <= xhi and b[1] >= xlo and b[2] <= yhi and b[3] >= ylo]
 
 
-def _rect_corner_tuples(cx, cy, theta, length, width) -> tuple[tuple[float, float], ...]:
-    c = math.cos(theta)
-    s = math.sin(theta)
+def _rect_corner_tuples(cx, cy, c, s, length, width) -> tuple[tuple[float, float], ...]:
     hl = 0.5 * length
     hw = 0.5 * width
     ux, uy = c * hl, s * hl
@@ -367,7 +363,7 @@ def _volume_clear_batch(xs, ys, thetas, vol: VolumeSpec, world: WorldModel) -> b
         return not boxes or not any(_disc_hits_any(x, y, fp.radius, boxes) for x, y in zip(xs, ys))
     rects = _near(band.boxes, band.rects, xs, ys, reach)
     return not rects or not any(
-        _rect_hits_any(x, y, th, fp.length, fp.width, rects) for x, y, th in zip(xs, ys, thetas)
+        _rect_hits_any(x, y, math.cos(th), math.sin(th), fp.length, fp.width, rects) for x, y, th in zip(xs, ys, thetas)
     )
 
 
@@ -383,7 +379,8 @@ def volume_clear(pose: Pose, vol: VolumeSpec, world: WorldModel) -> bool:
     fp = vol.footprint
     if isinstance(fp, DiscFootprint):
         return not _disc_hits_any(pose.x, pose.y, fp.radius, band.boxes)
-    return not _rect_hits_any(pose.x, pose.y, pose.theta, fp.length, fp.width, band.rects)
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    return not _rect_hits_any(pose.x, pose.y, c, s, fp.length, fp.width, band.rects)
 
 
 def sweep_steps(p0: Pose, p1: Pose, vol: VolumeSpec, res: float) -> int:
@@ -520,7 +517,8 @@ def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bo
         ):
             return False
         return not _disc_hits_any(x, y, r, gaps)
-    for cx, cy in _rect_corner_tuples(x, y, theta, footprint.length, footprint.width):
+    c, s = math.cos(theta), math.sin(theta)
+    for cx, cy in _rect_corner_tuples(x, y, c, s, footprint.length, footprint.width):
         if not (
             cx >= world.bounds_x[0] - 1e-12
             and cx <= world.bounds_x[1] + 1e-12
@@ -528,7 +526,7 @@ def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bo
             and cy <= world.bounds_y[1] + 1e-12
         ):
             return False
-    return not _rect_hits_any(x, y, theta, footprint.length, footprint.width, gaps)
+    return not _rect_hits_any(x, y, c, s, footprint.length, footprint.width, gaps)
 
 
 def _floor_solid_batch(xs, ys, thetas, footprint: Footprint, world: WorldModel) -> bool:

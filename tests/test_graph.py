@@ -8,14 +8,17 @@ import pytest
 from posgraph import EdgeStatus, Pose, PossibilityGraph
 from posgraph.graph import (
     ConditionViolation,
+    EDGE_TAGS,
     TAG_CRAWL,
     TAG_JUMP,
     TAG_TRANSITION,
     TAG_WALK,
+    VERTEX_TAGS,
     TagChecks,
     edge_key,
     quantize_pose,
 )
+from posgraph.world import pose_distance
 
 
 def build_line(g, tag, xs, status=EdgeStatus.SUFFICIENT):
@@ -46,6 +49,42 @@ def all_simple_paths_min_cost(g, src, dst):
 
     walk(src, {src}, 0.0, [])
     return best
+
+
+def brute_reach(g, seeds, forward):
+    """Vertices reached from the seeds by scanning every live edge."""
+    seen = {s for s in seeds if s in g.vertices}
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for e in g.edges.values():
+            a, b = (e.src, e.dst) if forward else (e.dst, e.src)
+            if a == v and b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return seen
+
+
+def brute_closest(g, tag, target):
+    """Per-component (vertex id, distance) minima over a fresh undirected
+    search of the tag's own edges, sorted by (distance, vertex id)."""
+    members = {vid for vid, v in g.vertices.items() if v.tag == tag}
+    best, done = [], set()
+    for vid in sorted(members):
+        if vid in done:
+            continue
+        comp, frontier = {vid}, [vid]
+        while frontier:
+            v = frontier.pop()
+            for e in g.edges.values():
+                if e.tag == tag and v in (e.src, e.dst):
+                    u = e.dst if v == e.src else e.src
+                    if u in members and u not in comp:
+                        comp.add(u)
+                        frontier.append(u)
+        done |= comp
+        best.append(min((pose_distance(g.vertices[u].pose, target), u) for u in comp))
+    return [(u, d) for d, u in sorted(best)]
 
 
 # -- vertices -------------------------------------------------------------
@@ -277,6 +316,57 @@ def test_reachability_cache_invalidated_by_mutation():
     assert b not in g.start_reachable_set()
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_random_mutations_keep_queries_equal_to_brute_force(seed):
+    """Random insertions, removals and verdicts; after each step the live
+    reach sets, the key registries and the per-component nearest vertices
+    match brute-force scans. Vertices sit on a unit grid and targets on a
+    half grid, so equal distances occur within and across components."""
+    rng = random.Random(seed)
+    g = PossibilityGraph()
+    vids = [
+        g.insert_vertex(Pose(x, y, rng.choice((0.0, math.pi / 2)), h), tag)
+        for tag, h in ((TAG_WALK, 1.0), (TAG_CRAWL, 0.3))
+        for x in range(4)
+        for y in range(3)
+    ]
+    g.set_endpoints(vids[0], [vids[-1], vids[5]])
+    tried, refuted = set(), set()
+    for _ in range(80):
+        roll = rng.random()
+        if roll < 0.6 or not g.edges:
+            a, b = rng.sample(vids, 2)
+            tag = rng.choice(EDGE_TAGS)
+            g.insert_edge(a, b, tag, rng.choice((EdgeStatus.SUFFICIENT, EdgeStatus.INDETERMINATE)))
+            pa, pb = g.vertices[a].pose, g.vertices[b].pose
+            turned = Pose(pa.x, pa.y, pa.theta + 0.5, pa.h)  # same vertex cell, another key
+            tried |= {(tag, pa, pb), (tag, pb, pa), (tag, turned, pb)}
+        elif roll < 0.8:
+            g.remove_edge(rng.choice(sorted(g.edges)))
+        else:
+            e = g.edges[rng.choice(sorted(g.edges))]
+            confirmed = rng.random() < 0.5
+            if not confirmed:
+                pa, pb = g.vertices[e.src].pose, g.vertices[e.dst].pose
+                refuted.add(edge_key(e.tag, pa, pb))
+                if e.tag != TAG_JUMP:
+                    refuted.add(edge_key(e.tag, pb, pa))
+            g.settle_edge(e.id, confirmed)
+
+        assert g.start_reachable_set() == brute_reach(g, [g.start_id], True)
+        assert g.goal_reaching_set() == brute_reach(g, g.goal_ids, False)
+        live = {edge_key(e.tag, g.vertices[e.src].pose, g.vertices[e.dst].pose) for e in g.edges.values()}
+        for tag, pa, pb in tried:
+            k = edge_key(tag, pa, pb)
+            assert g.edge_live(tag, pa, pb) == (k in live)
+            assert g.edge_blocked(tag, pa, pb) == (k in live or k in refuted)
+        for tag, h in ((TAG_WALK, 1.0), (TAG_CRAWL, 0.3)):
+            target = Pose(rng.randrange(7) / 2, rng.randrange(5) / 2, 0.0, h)
+            got = [(c.vertex_id, c.distance) for c in g.subgraph_closest(tag, target)]
+            assert got == brute_closest(g, tag, target)
+        g.audit()
+
+
 # -- shortest paths -------------------------------------------------------
 
 
@@ -387,6 +477,23 @@ def test_dump_format_and_determinism():
     for l in elines:
         parts = l.split()
         assert parts[5] in ("sufficient-confirmed", "indeterminate", "job-confirmed")
+
+
+@pytest.mark.parametrize("n_lines", [0, 1, 511, 512, 513, 1024])
+def test_dump_is_one_newline_joined_text_at_any_size(n_lines):
+    # a quarter of the lines are twinned edge pairs, the rest vertices
+    pairs = n_lines // 4
+    g = PossibilityGraph()
+    vids = [g.insert_vertex(Pose(0.1 * i, 0.0, 0.0, 1.0), TAG_WALK) for i in range(n_lines - 2 * pairs)]
+    for k in range(pairs):
+        g.insert_edge(vids[2 * k], vids[2 * k + 1], TAG_WALK, EdgeStatus.SUFFICIENT)
+    lines = []
+    for v in g.vertices.values():
+        p = v.pose
+        lines.append(f"V {v.id} {v.tag} {p.x:.6f} {p.y:.6f} {p.theta:.6f} {p.h:.6f}")
+    lines += [f"E {e.id} {e.tag} {e.src} {e.dst} {e.status.value} {e.cost:.6f}" for e in g.edges.values()]
+    assert len(lines) == n_lines
+    assert g.dump() == "\n".join(lines) + "\n"
 
 
 def test_audit_passes_on_random_graph():

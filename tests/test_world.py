@@ -243,13 +243,13 @@ def test_rect_box_fuzz_against_oracle():
         cx = rng.uniform(1.0, 4.2)
         cy = rng.uniform(0.5, 3.4)
         th = rng.uniform(-math.pi, math.pi)
-        got = _rect_hits_any(cx, cy, th, 0.9, 0.5, rects)
+        got = _rect_hits_any(cx, cy, math.cos(th), math.sin(th), 0.9, 0.5, rects)
         want = rect_hits_box_oracle(cx, cy, th, 0.9, 0.5, box)
         if got != want:
             # only tolerable when the configuration is within sampling slop
             # of the boundary; re-test with a slightly grown/shrunk rect
-            grown = _rect_hits_any(cx, cy, th, 0.91, 0.51, rects)
-            shrunk = _rect_hits_any(cx, cy, th, 0.89, 0.49, rects)
+            grown = _rect_hits_any(cx, cy, math.cos(th), math.sin(th), 0.91, 0.51, rects)
+            shrunk = _rect_hits_any(cx, cy, math.cos(th), math.sin(th), 0.89, 0.49, rects)
             assert grown != shrunk, (cx, cy, th)
             continue
         checked += 1
@@ -257,7 +257,7 @@ def test_rect_box_fuzz_against_oracle():
 
 
 def test_rect_corners_shape():
-    c = _rect_corner_tuples(1.0, 2.0, math.pi / 2, 0.9, 0.5)
+    c = _rect_corner_tuples(1.0, 2.0, math.cos(math.pi / 2), math.sin(math.pi / 2), 0.9, 0.5)
     assert np.array(c).shape == (4, 2)
     # rotated 90 deg: length now along y
     ys = sorted(p[1] for p in c)
