@@ -1,12 +1,13 @@
 """Confirmation jobs: fine-grained gait sweeps and ballistic jump solves.
 
-An indeterminate edge on a candidate path becomes a resumable job. A gait job
-sweeps the edge finely and checks footholds; a jump job solves its take-off in
-closed form, then sweeps the arc and checks the landing. The queue runs jobs
-cooperatively in bounded quanta (collision checks are the unit of work) and
-requeues unfinished jobs at the back, so short jobs never starve behind long
-ones. The planner submits one job at a time and steps it to its verdict,
-job-confirmed or refuted, before it looks at the next path edge.
+An indeterminate edge on a candidate path becomes a job. A gait job sweeps
+the edge finely and checks footholds; a jump job solves its take-off in
+closed form, then sweeps the arc and checks the landing. Each job settles its
+edge in one step. The queue gives jobs one step each in FIFO order and sends
+a job that returns no verdict to the back of the line, so with k jobs
+pending, none waits more than k job steps for its next turn. The planner
+submits one job at a time and steps it to its verdict, job-confirmed or
+refuted, before it looks at the next path edge.
 """
 from __future__ import annotations
 
@@ -189,77 +190,41 @@ class GaitConfirmJob:
             fy.append(p1.y + py * lateral_offset * sign)
         self._fx = fx
         self._fy = fy
-        self._cursor = 0
-        self._foot_cursor = 0
 
-    def step(self, budget: int, world: WorldModel) -> Verdict | None:
-        """Run up to `budget` collision checks; verdict when finished."""
-        while budget > 0:
-            if self._cursor < len(self._xs):
-                k = min(budget, len(self._xs) - self._cursor)
-                sl = slice(self._cursor, self._cursor + k)
-                if not _volume_clear_batch(self._xs[sl], self._ys[sl], self._ths[sl], self.volume, world):
-                    return Verdict(self.job_id, self.edge, REFUTED)
-                self._cursor += k
-                budget -= k
-            elif self._foot_cursor < len(self._fx):
-                k = min(budget, len(self._fx) - self._foot_cursor)
-                sl = slice(self._foot_cursor, self._foot_cursor + k)
-                if not _floor_points_solid(self._fx[sl], self._fy[sl], world):
-                    return Verdict(self.job_id, self.edge, REFUTED)
-                self._foot_cursor += k
-                budget -= k
-            else:
-                return Verdict(self.job_id, self.edge, CONFIRMED)
-        if self._cursor >= len(self._xs) and self._foot_cursor >= len(self._fx):
-            return Verdict(self.job_id, self.edge, CONFIRMED)
-        return None
+    def step(self, world: WorldModel) -> Verdict:
+        """Sweep the whole edge, then check the footholds."""
+        clear = _volume_clear_batch(self._xs, self._ys, self._ths, self.volume, world)
+        ok = clear and _floor_points_solid(self._fx, self._fy, world)
+        return Verdict(self.job_id, self.edge, CONFIRMED if ok else REFUTED)
 
 
 class JumpConfirmJob:
     """Solve the take-off problem for a jump edge, then fly the solved arc
-    through the world and check the landing support.
-
-    The closed-form solve is cheap, so the first step runs it with no work
-    charge; the arc sweep resumes across budgets.
-    """
+    through the world and check the landing support."""
 
     def __init__(self, edge: EdgeSnapshot, profile: RobotProfile):
         self.edge = edge
         self.profile = profile
         self.job_id = -1
-        self._trajectory: JumpTrajectory | None = None
-        self._cursor = 0
 
-    def step(self, budget: int, world: WorldModel) -> Verdict | None:
+    def step(self, world: WorldModel) -> Verdict:
         prof = self.profile
-        if self._trajectory is None:
-            self._trajectory = solve_jump_bvp(self.edge.pose_src, self.edge.pose_dst, prof)
-            if self._trajectory is None:
-                return Verdict(self.job_id, self.edge, REFUTED)
-        pts = self._trajectory.points
-        k = min(budget, len(pts) - self._cursor)
-        if k > 0:
-            xs, ys, zs = zip(*pts[self._cursor : self._cursor + k])
-            if _spheres_hit_boxes(xs, ys, zs, prof.r_jump, world._obs):
-                return Verdict(self.job_id, self.edge, REFUTED)
-            self._cursor += k
-        if self._cursor < len(pts):
-            return None
-        ok = landing_supported(self.edge.pose_dst, prof, world)
-        outcome = CONFIRMED if ok else REFUTED
-        return Verdict(self.job_id, self.edge, outcome, self._trajectory if ok else None)
+        traj = solve_jump_bvp(self.edge.pose_src, self.edge.pose_dst, prof)
+        if traj is None:
+            return Verdict(self.job_id, self.edge, REFUTED)
+        xs, ys, zs = zip(*traj.points)
+        ok = not _spheres_hit_boxes(xs, ys, zs, prof.r_jump, world._obs) and landing_supported(
+            self.edge.pose_dst, prof, world
+        )
+        return Verdict(self.job_id, self.edge, CONFIRMED if ok else REFUTED, traj if ok else None)
 
 
 ConfirmationJob = GaitConfirmJob | JumpConfirmJob
 
 
 def run_to_verdict(job: ConfirmationJob, world: WorldModel) -> Verdict:
-    """Run a gait or jump job to completion synchronously."""
-    while True:
-        v = job.step(1_000_000_000, world)
-        if v is not None:
-            return v
+    """Run a gait or jump job to its verdict on the calling thread."""
+    return job.step(world)
 
 
 confirm_gait_edge = confirm_jump_edge = run_to_verdict
@@ -270,17 +235,15 @@ confirm_gait_edge = confirm_jump_edge = run_to_verdict
 
 
 class ConfirmationQueue:
-    """FIFO of resumable jobs plus a verdict outbox.
+    """FIFO of jobs plus a verdict outbox.
 
-    step() runs jobs in quanta of at most QUANTUM collision checks on the
-    calling thread and sends unfinished jobs to the back of the line: with k
-    pending jobs needing q quanta each, no job waits more than k*q quanta.
-    Given the submit order, the schedule is deterministic.
+    step() gives jobs one step(world) call each on the calling thread, in
+    submit order, and sends a job that returns no verdict to the back of the
+    line: with k jobs pending, none waits more than k job steps for its next
+    turn. Given the submit order, the schedule is deterministic.
 
     A job that raises makes step() raise a ConfirmationError naming its edge.
     """
-
-    QUANTUM = 1000
 
     def __init__(self, world: WorldModel):
         self.world = world
@@ -297,13 +260,13 @@ class ConfirmationQueue:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def step(self, max_quanta: int) -> int:
-        """Run up to max_quanta quanta; returns how many ran."""
+    def step(self, max_steps: int) -> int:
+        """Give up to max_steps jobs one step each; returns how many ran."""
         ran = 0
-        while ran < max_quanta and self._pending:
+        while ran < max_steps and self._pending:
             job = self._pending.popleft()
             try:
-                verdict = job.step(self.QUANTUM, self.world)
+                verdict = job.step(self.world)
             except Exception as exc:
                 raise ConfirmationError(
                     f"confirmation job {job.job_id} for {job.edge.tag} edge {job.edge.edge_id} raised {exc!r}"

@@ -134,13 +134,6 @@ def edge_key(tag: str, p0: Pose, p1: Pose) -> tuple:
     return (tag, quantize_pose(p0), quantize_pose(p1))
 
 
-@dataclass
-class _ClosestEntry:
-    component: int
-    vertex_id: int
-    distance: float
-
-
 class PossibilityGraph:
     """Single shared graph over all actions, plus per-action component tracking.
 
@@ -450,9 +443,9 @@ class PossibilityGraph:
         eids.reverse()
         return PathResult(tuple(verts), tuple(eids), dist[dst])
 
-    def subgraph_closest(self, tag: str, target: Pose) -> list[_ClosestEntry]:
-        """Per-component nearest vertex to target, sorted ascending by distance
-        (ties toward the lower vertex id)."""
+    def subgraph_closest(self, tag: str, target: Pose) -> list[tuple[float, int]]:
+        """Per-component nearest vertex to target as (distance, vertex id),
+        sorted ascending (ties toward the lower vertex id)."""
         if tag in self._uf_dirty:
             self._rebuild_uf(tag)
         find = self._uf[tag].find
@@ -464,9 +457,7 @@ class PossibilityGraph:
             b = best.get(root)
             if b is None or d < b[0]:
                 best[root] = (d, vid)
-        entries = [_ClosestEntry(root, vid, d) for root, (d, vid) in best.items()]
-        entries.sort(key=lambda e: (e.distance, e.vertex_id))
-        return entries
+        return sorted(best.values())
 
     def nearest_vertices(self, tag: str, pose: Pose) -> list[int]:
         """Up to NEAREST_COUNT vertices of one manifold within NEAREST_RADIUS

@@ -62,8 +62,8 @@ class PlannerConfig:
     confirmation jobs run on the planner's own thread; it is kept, and still
     checked to be >= 1, so that existing callers keep working. The tuning
     values are module constants: `STEP` in `actions`, the surcharges in
-    `graph`, `ConfirmationQueue.QUANTUM` in `confirm`, the metric weights in
-    `world` and the per-cycle transition cap, goal radius and goal bias here.
+    `graph`, the metric weights in `world` and the per-cycle transition cap,
+    goal radius and goal bias here.
     """
 
     t_max: float = 60.0
@@ -134,6 +134,11 @@ class Planner:
         return None
 
     def _init_endpoints(self):
+        # a NaN height would pass the band test, as `not abs(nan - h0) > band`
+        endpoints = [("start pose", self.start_pose)] + [(f"goal {i}", g) for i, g in enumerate(self.goal_poses)]
+        for name, p in endpoints:
+            if not all(map(math.isfinite, (p.x, p.y, p.theta, p.h))):
+                raise PlannerInputError(f"{name} has a non-finite field: {p}")
         tag = self._manifold_tag(self.start_pose)
         if tag is None:
             raise PlannerInputError(f"start pose fails every enabled gait condition: {self.start_pose}")
@@ -243,16 +248,16 @@ class Planner:
         entries = self.graph.subgraph_closest(action.tag, target)
         if not entries:
             return []
-        first = entries[0]
-        new_ids = self.connect(action, first.vertex_id, target)
+        first = entries[0][1]
+        new_ids = self.connect(action, first, target)
         retarget = self.graph.vertices[new_ids[-1]].pose if new_ids else target
         idx = 1
         goal_set = self.graph.goal_reaching_set()
-        if first.vertex_id in goal_set:
-            while idx < len(entries) and entries[idx].vertex_id in goal_set:
+        if first in goal_set:
+            while idx < len(entries) and entries[idx][1] in goal_set:
                 idx += 1
         if idx < len(entries):
-            new_ids += self.connect(action, entries[idx].vertex_id, retarget)
+            new_ids += self.connect(action, entries[idx][1], retarget)
         return new_ids
 
     def grow_nonholonomic(self, action: JumpAction, target: Pose) -> list[int]:
@@ -382,8 +387,7 @@ class Planner:
             action = self.actions_by_tag[e.tag]
             self.queue.submit(action.spawn_confirmation_job(EdgeSnapshot.of_edge(g, e)))
             self.stats.jobs_spawned += 1
-            while self.queue.pending_count():
-                self.queue.step(1)
+            self.queue.step(1)
             (verdict,) = self.queue.drain_verdicts()
             if not self._settle(verdict):
                 return False

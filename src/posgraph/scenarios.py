@@ -59,12 +59,15 @@ def _parse_pose(value, where: str, default_h: float) -> Pose:
     if "x" not in value or "y" not in value:
         raise ValueError(f"{where} requires x and y")
     try:
-        return Pose(
+        fields = (
             float(value["x"]),
             float(value["y"]),
             float(value.get("theta", 0.0)),
             float(value.get("h", default_h)),
         )
+        if not all(map(math.isfinite, fields)):
+            raise ValueError(f"pose fields must be finite, got {fields}")
+        return Pose(*fields)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 

@@ -54,7 +54,9 @@ class Pose:
 
 def pose_distance(a: Pose, b: Pose, weights: tuple[float, float, float, float] = DEFAULT_METRIC_WEIGHTS) -> float:
     """Weighted Euclidean distance over (dx, dy, shortest-arc dtheta, dh)."""
-    dth = normalize_angle(b.theta - a.theta)
+    # remainder differs from normalize_angle only at the pi tie, by a sign
+    # that the square drops
+    dth = math.remainder(b.theta - a.theta, TWO_PI)
     return math.sqrt(
         (weights[0] * (b.x - a.x)) ** 2
         + (weights[1] * (b.y - a.y)) ** 2

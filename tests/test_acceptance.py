@@ -377,15 +377,15 @@ def test_single_worker_runs_are_byte_identical(matrix, capfd):
 
 
 class CountingJob:
-    """Burns one quantum per step call; logs its name on completion."""
+    """Needs `steps` step calls to reach its verdict; logs its name then."""
 
-    def __init__(self, quanta: int, log: list, name: str):
+    def __init__(self, steps: int, log: list, name: str):
         self.job_id = -1
-        self.remaining = quanta
+        self.remaining = steps
         self.log = log
         self.name = name
 
-    def step(self, budget, world):
+    def step(self, world):
         self.remaining -= 1
         if self.remaining <= 0:
             self.log.append(self.name)

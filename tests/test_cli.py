@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 import csv
 import json
+import math
 import time
 
 import pytest
@@ -103,6 +104,17 @@ def test_walk_jump_without_crawl_solves_without_traceback(seed, capsys):
 def test_bad_inputs_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+
+    def scenario_with(name, **extra):
+        (tmp_path / name).mkdir()
+        return str(small_scenario_file(tmp_path / name, **extra))
+
+    # a NaN theta or h got past every check and died in the search with
+    # "error: cannot convert float NaN to integer"
+    named = {
+        scenario_with("nan_theta", start={"x": 1, "y": 2, "theta": math.nan}): "start",
+        scenario_with("inf_h", goals=[{"x": 5, "y": 2}, {"x": 5, "y": 3, "h": math.inf}]): "goals[1]",
+    }
     cases = [
         ["solve", "--scenario", str(bad)],
         ["solve", "--scenario", str(tmp_path / "missing.json")],
@@ -114,11 +126,13 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         # no trials printed a row of nan and exited 2
         ["bench", "--builtin", "three_routes_a", "--trials", "0"],
         ["bench", "--builtin", "three_routes_a", "--trials", "-3"],
-    ]
+    ] + [["solve", "--scenario", path] for path in named]
     for argv in cases:
         assert main(argv) == EXIT_INPUT, argv
         out, err = capsys.readouterr()
         assert "error:" in err and "nan" not in out, argv
+        if argv[-1] in named:
+            assert f"error: {named[argv[-1]]}: " in err, err
 
 
 def test_show_round_trips(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Confirmation layer: jump solver vs closed form and brute force, resumable
+"""Confirmation layer: jump solver vs closed form and brute force, one-step
 jobs, and queue scheduling."""
 import math
 import random
@@ -211,18 +211,17 @@ def test_gait_job_refutes_missing_footholds(profile):
     assert confirm_gait_edge(job, w).outcome == REFUTED
 
 
-def test_gait_job_resumes_across_small_budgets(open_world, profile):
-    p0, p1 = Pose(1, 4, 0, 1.0), Pose(8, 4, 0, 1.0)
-    one_shot = confirm_gait_edge(gait_job(open_world, profile, "walk", p0, p1), open_world)
-    job = gait_job(open_world, profile, "walk", p0, p1)
-    steps = 0
-    while True:
-        v = job.step(7, open_world)
-        steps += 1
-        if v is not None:
-            break
-    assert v.outcome == one_shot.outcome == CONFIRMED
-    assert steps > 10  # actually exercised resumption
+def test_long_gait_job_settles_in_one_queue_step(profile):
+    # a 30 m walk sweeps over a thousand samples; the job still needs one step
+    w = WorldModel((0, 40), (0, 8), [], [])
+    q = ConfirmationQueue(w)
+    job = gait_job(w, profile, "walk", Pose(5, 4, 0, 1.0), Pose(35, 4, 0, 1.0))
+    assert len(job._xs) > 1000
+    q.submit(job)
+    assert q.step(1) == 1
+    assert q.pending_count() == 0
+    (v,) = q.drain_verdicts()
+    assert v.outcome == CONFIRMED
 
 
 def test_crawl_job_passes_under_bar(profile):
@@ -267,34 +266,19 @@ def test_jump_job_refutes_unreachable_landing(open_world, profile):
     assert v.outcome == REFUTED
 
 
-def test_jump_job_resumes_across_small_budgets(profile):
-    w = WorldModel((0, 10), (0, 4), [], [GapRect((2.3, 2.9), (0, 4))])
-    one_shot = confirm_jump_edge(JumpConfirmJob(jump_snapshot(2.05, 3.35), profile), w)
-    job = JumpConfirmJob(jump_snapshot(2.05, 3.35), profile)
-    steps = 0
-    while True:
-        v = job.step(5, w)
-        steps += 1
-        if v is not None:
-            break
-    assert v.outcome == one_shot.outcome == CONFIRMED
-    assert v.trajectory == one_shot.trajectory
-    assert steps > len(one_shot.trajectory.points) // 5  # actually exercised resumption
-
-
 # -- queue ----------------------------------------------------------------
 
 
 class FakeJob:
-    """Counts quanta; ignores the world. One step call burns one quantum."""
+    """Needs `steps` step calls to reach its verdict; ignores the world."""
 
-    def __init__(self, quanta, log, name):
+    def __init__(self, steps, log, name):
         self.job_id = -1
-        self.remaining = quanta
+        self.remaining = steps
         self.log = log
         self.name = name
 
-    def step(self, budget, world):
+    def step(self, world):
         self.remaining -= 1
         if self.remaining <= 0:
             self.log.append(self.name)
@@ -340,7 +324,7 @@ class RaisingJob:
         self.job_id = -1
         self.edge = EdgeSnapshot(edge_id, "jump", 0, 1, Pose(0, 0, 0, 1.0), Pose(1, 0, 0, 0.3), 1.0)
 
-    def step(self, budget, world):
+    def step(self, world):
         raise ZeroDivisionError("boom")
 
 
@@ -355,7 +339,7 @@ def test_raising_job_fails_the_cooperative_step(open_world):
 def test_solve_fails_fast_when_a_job_raises(monkeypatch):
     from posgraph import Planner, PlannerConfig, builtin_scenario
 
-    def boom(self, budget, world):
+    def boom(self, world):
         raise RuntimeError("solver crashed")
 
     monkeypatch.setattr(JumpConfirmJob, "step", boom)

@@ -362,7 +362,7 @@ def test_random_mutations_keep_queries_equal_to_brute_force(seed):
             assert g.edge_blocked(tag, pa, pb) == (k in live or k in refuted)
         for tag, h in ((TAG_WALK, 1.0), (TAG_CRAWL, 0.3)):
             target = Pose(rng.randrange(7) / 2, rng.randrange(5) / 2, 0.0, h)
-            got = [(c.vertex_id, c.distance) for c in g.subgraph_closest(tag, target)]
+            got = [(vid, d) for d, vid in g.subgraph_closest(tag, target)]
             assert got == brute_closest(g, tag, target)
         g.audit()
 
@@ -439,9 +439,10 @@ def test_subgraph_closest_orders_components():
     target = Pose(4.4, 0, 0, 1.0)
     entries = g.subgraph_closest(TAG_WALK, target)
     assert len(entries) == 2
-    assert g.vertices[entries[0].vertex_id].pose.x == 5
-    assert g.vertices[entries[1].vertex_id].pose.x == 1
-    assert entries[0].distance < entries[1].distance
+    (d0, v0), (d1, v1) = entries
+    assert g.vertices[v0].pose.x == 5
+    assert g.vertices[v1].pose.x == 1
+    assert d0 < d1
 
 
 def test_nearest_vertices_radius_and_order():

@@ -305,6 +305,17 @@ def test_input_errors(profile):
         make_planner(open_w, profile, Pose(1, 1, 0, 1.0), Pose(9, 7, 0, 1.0), ["walk"])._init_endpoints()
     with pytest.raises(PlannerInputError, match="goal"):
         Planner(open_w, profile, Pose(1, 1, 0, 1.0), [], ["walk"], PlannerConfig())
+    # a NaN h passed the band test and the solve died in quantize_pose; the
+    # check runs before any vertex is inserted
+    for start, goal, name in (
+        (Pose(1, 1, math.nan, 1.0), Pose(9, 7, 0, 1.0), "start pose"),
+        (Pose(1, 1, 0, math.nan), Pose(9, 7, 0, 1.0), "start pose"),
+        (Pose(1, 1, 0, 1.0), Pose(9, 7, 0, math.inf), "goal 0"),
+    ):
+        pl = make_planner(open_w, profile, start, goal, ["walk"])
+        with pytest.raises(PlannerInputError, match=f"{name} has a non-finite field"):
+            pl._init_endpoints()
+        assert not pl.graph.vertices
     # a NaN t_max ran no cycle at all; t_max=True ran a 1 s budget and
     # "5" raised TypeError; seed=None seeded from OS entropy, so repeated
     # solves differed

@@ -296,6 +296,10 @@ def test_pose_distance_shortest_arc_and_weights():
     c = Pose(3, 4, 3.0, 1.0)
     assert pose_distance(a, c) == pytest.approx(5.0)
     assert DEFAULT_METRIC_WEIGHTS == (1.0, 1.0, 0.3, 1.0)
+    # at the +-pi tie the heading difference may take either sign; its square
+    # is the same float
+    p, q = Pose(0, 0, math.pi, 1), Pose(0, 0, 0, 1)
+    assert pose_distance(p, q) == math.sqrt((0.3 * normalize_angle(q.theta - p.theta)) ** 2)
 
 
 def test_pose_distance_triangle_inequality_fuzz():
