@@ -31,6 +31,7 @@ from .world import (
     Pose,
     RobotProfile,
     WorldModel,
+    gap_within,
     pose_distance,
     sample_pose,
     segment_crosses_gap,
@@ -116,6 +117,8 @@ class Planner:
         self.stats = PlannerStats()
         self.trajectories: dict[int, JumpTrajectory] = {}
         self.events: list[str] = []
+        # per vertex id: whether a jump seeded at that vertex can cross a gap
+        self._near_gap: dict[int, bool] = {}
         self._gait_tags = [a.tag for a in self.actions if isinstance(a, GaitAction)]
         # connect lays at most one world diagonal of gait steps, plus slack
         diagonal = math.hypot(world.bounds_x[1] - world.bounds_x[0], world.bounds_y[1] - world.bounds_y[0])
@@ -134,11 +137,6 @@ class Planner:
         return None
 
     def _init_endpoints(self):
-        # a NaN height would pass the band test, as `not abs(nan - h0) > band`
-        endpoints = [("start pose", self.start_pose)] + [(f"goal {i}", g) for i, g in enumerate(self.goal_poses)]
-        for name, p in endpoints:
-            if not all(map(math.isfinite, (p.x, p.y, p.theta, p.h))):
-                raise PlannerInputError(f"{name} has a non-finite field: {p}")
         tag = self._manifold_tag(self.start_pose)
         if tag is None:
             raise PlannerInputError(f"start pose fails every enabled gait condition: {self.start_pose}")
@@ -268,14 +266,25 @@ class Planner:
 
         A jump is only proposed when the ground segment under the flight is
         interrupted by a gap; over continuous floor the gaits already cover
-        the same motion at lower cost.
+        the same motion at lower cost. That segment starts at the vertex and
+        spans at most `jump_range_max`, so only vertices within that range of
+        a gap are candidates.
         """
+        if not self.world.gaps:
+            return []
         g = self.graph
-        cands = [
-            vid
-            for tag in VERTEX_TAGS
-            for vid in g._tag_vertices[tag]
-        ]
+        near_gap = self._near_gap
+        cands = []
+        for tag in VERTEX_TAGS:
+            for vid in g._tag_vertices[tag]:
+                bit = near_gap.get(vid)
+                if bit is None:
+                    p = g.vertices[vid].pose
+                    # the margin covers rounding in the far end and the slab test
+                    reach = action.profile.jump_range_max + 1e-6 * (1.0 + abs(p.x) + abs(p.y))
+                    bit = near_gap[vid] = gap_within(self.world, p.x, p.y, reach)
+                if bit:
+                    cands.append(vid)
         cands.sort(key=lambda vid: (pose_distance(g.vertices[vid].pose, target), vid))
         useful = {vid: True for vid in cands}
         # snapshots: the live reach sets grow as this loop inserts edges

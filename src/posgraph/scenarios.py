@@ -65,8 +65,6 @@ def _parse_pose(value, where: str, default_h: float) -> Pose:
             float(value.get("theta", 0.0)),
             float(value.get("h", default_h)),
         )
-        if not all(map(math.isfinite, fields)):
-            raise ValueError(f"pose fields must be finite, got {fields}")
         return Pose(*fields)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None

@@ -7,11 +7,15 @@ approximated by staircases of boxes before they get here.
 
 Every collision query runs on one family of scalar pure-Python kernels over
 tuples of box bounds: a disc, an oriented rectangle or a sphere against a
-list of boxes. A single pose calls a kernel once (`volume_clear`,
-`floor_solid`, `floor_point_solid`). A sampled sweep or arc first makes one
-broad-phase pass that keeps only the boxes overlapping the samples' bounding
-box, grown by the shape's reach, and then calls the same kernel per sample.
-The obstacles of a z band are filtered once per world and cached.
+list of boxes. The obstacles of a z band are filtered once per world and
+cached. A single pose in `volume_clear` looks up the cell of a uniform grid
+(Ericson, Real-Time Collision Detection, 2004) that lists the band's boxes
+within the footprint's reach of the cell, and calls the kernel on that list
+only; cells are filled on first use, one grid per volume. A sampled sweep
+or arc first makes one broad-phase pass that keeps only the boxes
+overlapping the samples' bounding box, grown by the shape's reach, and then
+calls the same kernel per sample. `floor_solid` and `floor_point_solid`
+test every gap.
 """
 from __future__ import annotations
 
@@ -20,6 +24,11 @@ import random
 from dataclasses import dataclass, field, fields
 
 TWO_PI = 2.0 * math.pi
+
+# Side of a `volume_clear` grid cell, in metres. A power of two, so x / GRID_CELL
+# and i * GRID_CELL are exact and a pose always lies in the cell it is filed
+# under; >= 1 so x / GRID_CELL cannot overflow for any finite x.
+GRID_CELL = 1.0
 
 # Weights over (dx, dy, shortest-arc dtheta, dh) used wherever a single scalar
 # distance between poses is needed. Heading is deliberately cheap.
@@ -44,6 +53,12 @@ class Pose:
     h: float = 0.0
 
     def __post_init__(self):
+        # v * 0.0 is 0.0 for a finite v and NaN otherwise
+        if self.x * 0.0 + self.y * 0.0 + self.theta * 0.0 + self.h * 0.0 != 0.0:
+            for name in ("x", "y", "theta", "h"):
+                v = getattr(self, name)
+                if not math.isfinite(v):
+                    raise ValueError(f"pose {name} must be finite, got {v}")
         if self.h < 0.0:
             raise ValueError(f"pose height must be >= 0, got {self.h}")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
@@ -103,12 +118,18 @@ class VolumeSpec:
 
     footprint: Footprint
     z_band: tuple[float, float]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.z_band
         if not lo < hi:
             raise ValueError(f"volume z band must be ascending, got {self.z_band}")
         object.__setattr__(self, "z_band", (lo, hi))  # a hashable key for WorldModel.band
+        # computed once: every `volume_clear` looks its grid up by the volume
+        object.__setattr__(self, "_hash", hash((self.footprint, self.z_band)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -232,6 +253,7 @@ class WorldModel:
     _gap_boxes: tuple = field(init=False, repr=False, compare=False)
     _gap_rects: tuple = field(init=False, repr=False, compare=False)
     _bands: dict = field(init=False, repr=False, compare=False)
+    _grids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.bounds_x[0] < self.bounds_x[1] or not self.bounds_y[0] < self.bounds_y[1]:
@@ -248,6 +270,7 @@ class WorldModel:
         self._gap_boxes = tuple(tuple(float(v) for v in (*g.x, *g.y)) for g in self.gaps)
         self._gap_rects = _aabb_rects(self._gap_boxes)
         self._bands = {}
+        self._grids = {}
 
     def band(self, z_band: tuple[float, float]) -> _Band:
         """Obstacles strictly overlapping the z band, filtered once per band."""
@@ -257,6 +280,31 @@ class WorldModel:
             boxes = tuple(o[:4] for o in self._obs if o[4] < zhi and o[5] > zlo)
             band = self._bands[z_band] = _Band(boxes, _aabb_rects(boxes))
         return band
+
+    def cell(self, vol: VolumeSpec, x: float, y: float) -> tuple:
+        """The band's obstacles, as boxes for a disc footprint and as rects for
+        a rectangle, that a placement of vol at (x, y) can touch, in band order.
+
+        These are the boxes overlapping the grid cell holding (x, y), grown by
+        the footprint's reach plus the 1e-6 that `_near` adds. The cell
+        contains x and y exactly, and rounding is monotone, so this keeps
+        every box `_near` keeps for the one sample. A cell is filled the first
+        time a query lands in it.
+        """
+        grid = self._grids.get(vol)
+        if grid is None:
+            grid = self._grids[vol] = {}
+        i = math.floor(x / GRID_CELL)
+        j = math.floor(y / GRID_CELL)
+        items = grid.get((i, j))
+        if items is None:
+            band = self.band(vol.z_band)
+            fp = vol.footprint
+            shapes = band.boxes if isinstance(fp, DiscFootprint) else band.rects
+            x0, y0 = i * GRID_CELL, j * GRID_CELL
+            near = _near(band.boxes, shapes, (x0, x0 + GRID_CELL), (y0, y0 + GRID_CELL), fp.max_radius + 1e-6)
+            items = grid[(i, j)] = tuple(near)
+        return items
 
     @staticmethod
     def _interval_inside(inner: tuple[float, float], outer: tuple[float, float]) -> bool:
@@ -375,14 +423,14 @@ def volume_clear(pose: Pose, vol: VolumeSpec, world: WorldModel) -> bool:
     A pose outside the world bounds is reported as not clear rather than an
     error, so callers can probe freely.
     """
-    if not world.contains(pose.x, pose.y):
+    x, y = pose.x, pose.y
+    if not world.contains(x, y):
         return False
-    band = world.band(vol.z_band)
+    items = world.cell(vol, x, y)
     fp = vol.footprint
     if isinstance(fp, DiscFootprint):
-        return not _disc_hits_any(pose.x, pose.y, fp.radius, band.boxes)
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    return not _rect_hits_any(pose.x, pose.y, c, s, fp.length, fp.width, band.rects)
+        return not _disc_hits_any(x, y, fp.radius, items)
+    return not _rect_hits_any(x, y, math.cos(pose.theta), math.sin(pose.theta), fp.length, fp.width, items)
 
 
 def sweep_steps(p0: Pose, p1: Pose, vol: VolumeSpec, res: float) -> int:
@@ -466,6 +514,12 @@ def segment_crosses_gap(world: WorldModel, x0: float, y0: float, x1: float, y1: 
         if ok and t_lo < t_hi:
             return True
     return False
+
+
+def gap_within(world: WorldModel, x: float, y: float, reach: float) -> bool:
+    """True when some gap's open rectangle comes closer than `reach` to
+    (x, y); a segment from (x, y) shorter than that cannot cross a gap."""
+    return _disc_hits_any(x, y, reach, world._gap_boxes)
 
 
 FOOT_BEARING = 0.04

@@ -149,6 +149,34 @@ def test_no_jumps_proposed_over_continuous_floor(profile):
     assert not any(e.tag == TAG_JUMP for e in pl.graph.edges.values())
 
 
+def test_jump_seeding_skips_vertices_beyond_jump_range_of_every_gap(profile, monkeypatch):
+    import posgraph.planner as planner_mod
+
+    real = planner_mod.segment_crosses_gap
+    starts = []
+
+    def spy(world, x0, y0, x1, y1):
+        starts.append(x0)  # every candidate here is a walk vertex, so x0 is its launch
+        return real(world, x0, y0, x1, y1)
+
+    monkeypatch.setattr(planner_mod, "segment_crosses_gap", spy)
+    # the gap spans x 3.0-3.6 and the jump range is 1.5: only x > 1.5 can seed
+    pl = make_planner(gap_world(), profile, Pose(0.5, 2, 0, 1.0), Pose(7, 2, 0, 1.0), ["walk", "crawl", "jump"])
+    pl._init_endpoints()
+    xs = {pl.graph.insert_vertex(Pose(x, 2, 0, 1.0), TAG_WALK): x for x in (1.0, 1.4, 1.6, 2.0, 2.7)}
+    pl.grow_nonholonomic(pl.actions_by_tag[TAG_JUMP], Pose(7, 2, 0, 1.0))
+    assert starts and set(starts) <= {1.6, 2.0, 2.7}
+    assert {vid: pl._near_gap[vid] for vid in xs} == {vid: x > 1.5 for vid, x in xs.items()}
+    assert pl._near_gap[pl.graph.start_id] is False
+    # no gap at all: no vertex is looked at
+    starts.clear()
+    world = WorldModel((0, 8), (0, 4), [], [])
+    pl = make_planner(world, profile, Pose(1, 2, 0, 1.0), Pose(7, 2, 0, 1.0), ["walk", "crawl", "jump"])
+    pl._init_endpoints()
+    assert pl.grow_nonholonomic(pl.actions_by_tag[TAG_JUMP], Pose(7, 2, 0, 1.0)) == []
+    assert not starts and not pl._near_gap
+
+
 # -- lazy confirmation ----------------------------------------------------
 
 
@@ -305,17 +333,6 @@ def test_input_errors(profile):
         make_planner(open_w, profile, Pose(1, 1, 0, 1.0), Pose(9, 7, 0, 1.0), ["walk"])._init_endpoints()
     with pytest.raises(PlannerInputError, match="goal"):
         Planner(open_w, profile, Pose(1, 1, 0, 1.0), [], ["walk"], PlannerConfig())
-    # a NaN h passed the band test and the solve died in quantize_pose; the
-    # check runs before any vertex is inserted
-    for start, goal, name in (
-        (Pose(1, 1, math.nan, 1.0), Pose(9, 7, 0, 1.0), "start pose"),
-        (Pose(1, 1, 0, math.nan), Pose(9, 7, 0, 1.0), "start pose"),
-        (Pose(1, 1, 0, 1.0), Pose(9, 7, 0, math.inf), "goal 0"),
-    ):
-        pl = make_planner(open_w, profile, start, goal, ["walk"])
-        with pytest.raises(PlannerInputError, match=f"{name} has a non-finite field"):
-            pl._init_endpoints()
-        assert not pl.graph.vertices
     # a NaN t_max ran no cycle at all; t_max=True ran a 1 s budget and
     # "5" raised TypeError; seed=None seeded from OS entropy, so repeated
     # solves differed

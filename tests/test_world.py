@@ -14,6 +14,7 @@ import posgraph
 from posgraph import Box, GapRect, Pose, RobotProfile, WorldModel, builtin_scenario, pose_distance
 from posgraph.world import (
     DEFAULT_METRIC_WEIGHTS,
+    GRID_CELL,
     TWO_PI,
     DiscFootprint,
     RectFootprint,
@@ -26,6 +27,7 @@ from posgraph.world import (
     _volume_clear_batch,
     floor_point_solid,
     floor_solid,
+    gap_within,
     interpolate_poses,
     normalize_angle,
     parabola_clear,
@@ -283,6 +285,23 @@ def test_normalize_angle_half_open_range():
 def test_pose_rejects_negative_height():
     with pytest.raises(ValueError):
         Pose(0, 0, 0, -0.1)
+
+
+def test_pose_rejects_non_finite_fields_by_name():
+    # Pose(0, 0, nan, nan) used to construct, and an infinite theta raised
+    # a bare "math domain error"
+    for i, name in enumerate(("x", "y", "theta", "h")):
+        for bad in (math.nan, math.inf, -math.inf):
+            fields = [1.0, 2.0, 0.5, 1.0]
+            fields[i] = bad
+            with pytest.raises(ValueError, match=f"pose {name} must be finite, got {bad}"):
+                Pose(*fields)
+    # the first non-finite field is the one named
+    with pytest.raises(ValueError, match="pose theta must be finite"):
+        Pose(0, 0, math.nan, math.nan)
+    # huge finite fields are fine, even where their sum overflows
+    p = Pose(1e308, 1e308, 1e308, 1e308)
+    assert (p.x, p.y, p.h) == (1e308, 1e308, 1e308) and -math.pi < p.theta <= math.pi
 
 
 def test_pose_distance_shortest_arc_and_weights():
@@ -628,18 +647,18 @@ def _exact_contacts():
         # a corner on a box face (the world axis separates) ...
         dx = abs(c) * 0.5 + abs(s) * 0.25 + 0.5
         dy = abs(s) * 0.5 + abs(c) * 0.25 + 0.5
-        ties.append(Pose(_tie(lambda x: abs(x - 2.5), dx, 2.5 - dx), 2.5, th, 0.3))
-        ties.append(Pose(2.5, _tie(lambda y: abs(y - 2.5), dy, 2.5 + dy), th, 0.3))
+        ties.append((_tie(lambda x: abs(x - 2.5), dx, 2.5 - dx), 2.5, th))
+        ties.append((2.5, _tie(lambda y: abs(y - 2.5), dy, 2.5 + dy), th))
         # ... and a box corner on a rectangle face (a rectangle axis does)
         du = 0.5 + abs(c) * 0.5 + abs(s) * 0.5
         cy = 2.5 - s * du
         cu = c * 2.5 + s * 2.5
-        ties.append(Pose(_tie(lambda x: abs(c * x + s * cy - cu), du, 2.5 - c * du), cy, th, 0.3))
+        ties.append((_tie(lambda x: abs(c * x + s * cy - cu), du, 2.5 - c * du), cy, th))
         dw = 0.25 + abs(s) * 0.5 + abs(c) * 0.5
         cx = 2.5 + s * dw
         cw = -s * 2.5 + c * 2.5
-        ties.append(Pose(cx, _tie(lambda y: abs(-s * cx + c * y - cw), dw, 2.5 - c * dw), th, 0.3))
-    contacts = list(named.values()) + [p for p in ties if None not in (p.x, p.y)]
+        ties.append((cx, _tie(lambda y: abs(-s * cx + c * y - cw), dw, 2.5 - c * dw), th))
+    contacts = list(named.values()) + [Pose(x, y, th, 0.3) for x, y, th in ties if None not in (x, y)]
     nudged = [
         Pose(p.x + dx, p.y + dy, th, p.h)
         for p in contacts
@@ -792,6 +811,153 @@ def test_broad_phase_keeps_every_box_a_sample_hits():
     xs, ys, ths = ([getattr(p, a) for p in contacts + nudged] for a in ("x", "y", "theta"))
     for vol in KERNEL_VOLUMES:
         assert _volume_clear_batch(xs, ys, ths, vol, world) == reference_volume_clear_batch(xs, ys, ths, vol, world)
+
+
+# -- the volume_clear grid ----------------------------------------------------
+
+
+def _band_volume_clear(pose, vol, world):
+    """volume_clear with the all-boxes kernel over the volume's whole z band."""
+    if not world.contains(pose.x, pose.y):
+        return False
+    band = world.band(vol.z_band)
+    fp = vol.footprint
+    if isinstance(fp, DiscFootprint):
+        return not _disc_hits_any(pose.x, pose.y, fp.radius, band.boxes)
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    return not _rect_hits_any(pose.x, pose.y, c, s, fp.length, fp.width, band.rects)
+
+
+def _straddling_world(rng, origin, span):
+    """Boxes in three z bands, most with an edge on or one ulp off a grid
+    line, over a world whose corner sits at `origin` (negative here)."""
+    boxes = []
+    for _ in range(rng.randint(10, 30)):
+        k = rng.randrange(int(span / GRID_CELL))
+        x0 = origin + k * GRID_CELL + rng.choice((0.0, -0.3, 0.7, -GRID_CELL / 2))
+        x0 = rng.choice((x0, math.nextafter(x0, -math.inf), math.nextafter(x0, math.inf)))
+        y0 = origin + rng.randrange(int(span / GRID_CELL)) * GRID_CELL + rng.uniform(-0.5, 0.5)
+        w, d = rng.choice((0.05, 0.3, GRID_CELL, 2.5 * GRID_CELL)), rng.uniform(0.05, 2.0)
+        z = rng.choice(((0.0, 2.2), (0.7, 1.9), (0.0, 0.4)))
+        x0 = min(max(x0, origin), origin + span - w)
+        y0 = min(max(y0, origin), origin + span - d)
+        boxes.append(Box((x0, x0 + w), (y0, y0 + d), z))
+    return WorldModel((origin, origin + span), (origin, origin + span), tuple(boxes), ())
+
+
+def _grid_poses(rng, world):
+    """Poses on cell edges and corners (and one ulp either side), at box
+    faces grown by a reach, uniform ones, and ones outside the bounds."""
+    (bx0, bx1), (by0, by1) = world.bounds_x, world.bounds_y
+    poses = []
+    for _ in range(150):
+        x = math.floor(rng.uniform(bx0, bx1) / GRID_CELL) * GRID_CELL
+        y = rng.uniform(by0, by1)
+        if rng.random() < 0.5:
+            y = math.floor(y / GRID_CELL) * GRID_CELL
+        x = rng.choice((x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)))
+        if rng.random() < 0.5:
+            x, y = y, x
+        poses.append(Pose(x, y, rng.uniform(-math.pi, math.pi), 1.0))
+    for b in world.obstacles:
+        for r in (0.05, 0.25, 0.3, 0.5):
+            poses.append(Pose(b.x[0] - r, rng.uniform(*b.y), 0.0, 1.0))
+            poses.append(Pose(rng.uniform(*b.x), b.y[1] + r, math.pi / 2, 1.0))
+    poses += [Pose(rng.uniform(bx0, bx1), rng.uniform(by0, by1), rng.uniform(-3.2, 3.2), 1.0) for _ in range(150)]
+    poses += [Pose(bx0 - 1e-9, by0, 0.0, 1.0), Pose(bx1, by1 + 0.5, 0.0, 1.0), Pose(-1e300, 1e300, 0.0, 1.0)]
+    return poses
+
+
+def test_grid_volume_clear_equals_the_whole_band():
+    """The grid hands the narrow phase a subset of the band; the answer must
+    be the all-boxes answer everywhere, cell borders and contacts included."""
+    rng = random.Random(41)
+    blocked = clear = 0
+    for seed in range(5):
+        wrng = random.Random(300 + seed)
+        world = _straddling_world(wrng, -7.0 - 3.3 * seed, 12.0)
+        for p in _grid_poses(wrng, world):
+            for vol in KERNEL_VOLUMES:
+                want = _band_volume_clear(p, vol, world)
+                assert volume_clear(p, vol, world) == want, (seed, p, vol)
+                blocked += not want
+                clear += want
+    assert blocked > 1000 and clear > 1000
+    world, _, contacts, nudged = _exact_contacts()
+    for p in contacts + nudged:
+        for vol in KERNEL_VOLUMES:
+            assert volume_clear(p, vol, world) == _band_volume_clear(p, vol, world), (p, vol)
+    # 1e300 coordinates, inside a world that reaches them
+    far = WorldModel(
+        (-2e300, 2e300), (-2e300, 2e300), (Box((1e300, 1.5e300), (-1.0, 1.0), (0.0, 2.0)), Box((-1.0, 1.0), (-1.0, 1.0), (0.0, 2.0)))
+    )
+    for x in (1e300, math.nextafter(1e300, 0.0), 1.5e300, 1.6e300, -1e300, 0.0, 1.2, 1.3):
+        for y in (0.0, 1.2, 1.3, 1e300):
+            for vol in KERNEL_VOLUMES:
+                p = Pose(x, y, rng.uniform(-3.0, 3.0), 1.0)
+                assert volume_clear(p, vol, far) == _band_volume_clear(p, vol, far), (p, vol)
+    assert not volume_clear(Pose(1e300, 0.0, 0.0, 1.0), KERNEL_VOLUMES[0], far)
+    assert volume_clear(Pose(1.6e300, 0.0, 0.0, 1.0), KERNEL_VOLUMES[0], far)
+
+
+def test_grid_fills_only_the_cells_queried():
+    """A 1e6 m world holds 1e12 cells; only the queried ones are built."""
+    world = WorldModel((0.0, 1e6), (0.0, 1e6), (Box((5.0, 6.0), (5.0, 6.0), (0.0, 2.2)), Box((9e5, 9e5 + 1), (3.0, 4.0), (0.0, 2.2))))
+    vol = KERNEL_VOLUMES[0]
+    xs = (5.5, 5.5, 5.9, 4.8, 9e5 + 0.5, 1e6, 123456.789)
+    hits = [volume_clear(Pose(x, 5.5, 0.0, 1.0), vol, world) for x in xs]
+    assert hits == [False, False, False, False, True, True, True]
+    assert not volume_clear(Pose(9e5 + 0.5, 3.5, 0.0, 1.0), vol, world)
+    built = sum(len(cells) for cells in world._grids.values())
+    assert built == len({math.floor(x / GRID_CELL) for x in xs}) + 1
+    # off-world poses need no cell
+    assert not volume_clear(Pose(-1e300, 5.0, 0.0, 1.0), vol, world)
+    assert not volume_clear(Pose(5.0, 2e6, 0.0, 1.0), vol, world)
+    assert sum(len(cells) for cells in world._grids.values()) == built
+
+
+def test_grid_hands_hallway_few_boxes(monkeypatch):
+    """On hallway's 160 boxes, a lattice of walk and crawl poses hands the
+    narrow phase a small fraction of its band, with unchanged answers."""
+    import posgraph.world as world_mod
+
+    handed = []
+    for name in ("_disc_hits_any", "_rect_hits_any"):
+        kernel = getattr(world_mod, name)
+        monkeypatch.setattr(world_mod, name, lambda *a, k=kernel: handed.append(len(a[-1])) or k(*a))
+    world = builtin_scenario("hallway").world
+    vols = (VolumeSpec(DiscFootprint(0.05), (0.05, 1.5)), VolumeSpec(DiscFootprint(0.25), (0.0, 1.6)), VolumeSpec(RectFootprint(0.9, 0.5), (0.0, 1.6)))
+    assert all(len(world.band(v.z_band).boxes) == 160 for v in vols)
+    poses = [Pose(0.05 * i, 0.05 * j, 0.1 * i, 1.0) for i in range(241) for j in range(81)]
+    for vol in vols:
+        for p in poses:
+            assert volume_clear(p, vol, world) == _band_volume_clear(p, vol, world)
+    # the reference calls the test module's own unpatched kernels
+    assert len(handed) == len(vols) * len(poses)
+    assert sum(handed) / len(handed) < 16  # a tenth of the band
+
+
+def test_gap_within_bounds_every_jump_segment():
+    """A segment shorter than the reach from a point that no gap comes
+    within reach of crosses no gap: the jump-seeding filter is exact."""
+    rng = random.Random(43)
+    reach = RobotProfile().jump_range_max
+    near = far = 0
+    for seed in range(20):
+        world = make_random_world(random.Random(400 + seed), with_gaps=True)
+        if not world.gaps:
+            continue
+        for _ in range(300):
+            x, y = rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 9.0)
+            if gap_within(world, x, y, reach + 1e-6 * (1.0 + abs(x) + abs(y))):
+                near += 1
+                continue
+            far += 1
+            for _ in range(8):
+                a = rng.uniform(-math.pi, math.pi)
+                span = rng.choice((reach, rng.uniform(0.0, reach)))
+                assert not segment_crosses_gap(world, x, y, x + span * math.cos(a), y + span * math.sin(a))
+    assert near > 500 and far > 500
 
 
 def test_robot_profile_apex_grid_validation():
