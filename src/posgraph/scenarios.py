@@ -59,13 +59,12 @@ def _parse_pose(value, where: str, default_h: float) -> Pose:
     if "x" not in value or "y" not in value:
         raise ValueError(f"{where} requires x and y")
     try:
-        fields = (
+        return Pose(
             float(value["x"]),
             float(value["y"]),
             float(value.get("theta", 0.0)),
             float(value.get("h", default_h)),
         )
-        return Pose(*fields)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 

@@ -118,18 +118,12 @@ class VolumeSpec:
 
     footprint: Footprint
     z_band: tuple[float, float]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.z_band
         if not lo < hi:
             raise ValueError(f"volume z band must be ascending, got {self.z_band}")
         object.__setattr__(self, "z_band", (lo, hi))  # a hashable key for WorldModel.band
-        # computed once: every `volume_clear` looks its grid up by the volume
-        object.__setattr__(self, "_hash", hash((self.footprint, self.z_band)))
-
-    def __hash__(self):
-        return self._hash
 
 
 @dataclass(frozen=True)

@@ -333,6 +333,15 @@ def test_input_errors(profile):
         make_planner(open_w, profile, Pose(1, 1, 0, 1.0), Pose(9, 7, 0, 1.0), ["walk"])._init_endpoints()
     with pytest.raises(PlannerInputError, match="goal"):
         Planner(open_w, profile, Pose(1, 1, 0, 1.0), [], ["walk"], PlannerConfig())
+    # a NaN h passed the band test and the solve died in quantize_pose; such
+    # an endpoint now fails when it is built, naming the field
+    for endpoints, field_name in (
+        (lambda: (Pose(1, 1, math.nan, 1.0), Pose(9, 7, 0, 1.0)), "theta"),
+        (lambda: (Pose(1, 1, 0, math.nan), Pose(9, 7, 0, 1.0)), "h"),
+        (lambda: (Pose(1, 1, 0, 1.0), Pose(9, 7, 0, math.inf)), "h"),
+    ):
+        with pytest.raises(ValueError, match=f"pose {field_name} must be finite"):
+            make_planner(open_w, profile, *endpoints(), ["walk"])
     # a NaN t_max ran no cycle at all; t_max=True ran a 1 s budget and
     # "5" raised TypeError; seed=None seeded from OS entropy, so repeated
     # solves differed
