@@ -8,6 +8,7 @@ condition, and always defers to its boundary-value solver for the final word.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -25,6 +26,7 @@ from .world import (
     floor_solid,
     interpolate_poses,
     parabola_clear,
+    sweep_open,
     sweep_steps,
     swept_clear,
     volume_clear,
@@ -61,32 +63,61 @@ class TransitionQueue:
         return len(self._items)
 
 
+@functools.lru_cache(maxsize=16)
+def _transition_volume(length: float, width: float, top: float) -> VolumeSpec:
+    return VolumeSpec(RectFootprint(length, width), (0.0, top))
+
+
 def transition_feasible(pose: Pose, profile: RobotProfile, world: WorldModel) -> bool:
     """Vertical posture change at a fixed planar pose.
 
     Standing up or kneeling down sweeps the crawl rectangle through the full
     standing height, so the check is direction-independent: that swept volume
-    must be clear and the whole rectangle supported.
+    must be clear and the whole rectangle supported. Only the planar pose
+    (x, y, theta) is read.
     """
-    vol = VolumeSpec(
-        RectFootprint(profile.crawl_len, profile.crawl_wid), (0.0, profile.body_top_walk)
-    )
+    vol = _transition_volume(profile.crawl_len, profile.crawl_wid, profile.body_top_walk)
     probe = Pose(pose.x, pose.y, pose.theta, 0.0)
     if not volume_clear(probe, vol, world):
         return False
-    return floor_solid(probe, RectFootprint(profile.crawl_len, profile.crawl_wid), world)
+    return floor_solid(probe, vol.footprint, world)
+
+
+class TransitionCheck:
+    """`transition_feasible` memoized on the planar pose it reads, shared by
+    both gaits' `transition_from` and the graph's transition re-check, so a
+    posture change at one (x, y, theta) is judged once per cycle."""
+
+    def __init__(self, profile: RobotProfile, world: WorldModel):
+        self.profile = profile
+        self.world = world
+        self._memo: dict[tuple[float, float, float], bool] = {}
+
+    def __call__(self, pose: Pose) -> bool:
+        key = (pose.x, pose.y, pose.theta)
+        ok = self._memo.get(key)
+        if ok is None:
+            ok = self._memo[key] = transition_feasible(pose, self.profile, self.world)
+        return ok
+
+    def clear(self):
+        self._memo.clear()
 
 
 class GaitAction:
-    """A holonomic gait (walk or crawl) tied to one posture band."""
+    """A holonomic gait (walk or crawl) tied to one posture band.
 
-    def __init__(self, tag: str, profile: RobotProfile, world: WorldModel):
+    `transition` is the memoized posture-change check; `build_actions` hands
+    both gaits one instance."""
+
+    def __init__(self, tag: str, profile: RobotProfile, world: WorldModel, transition: TransitionCheck | None = None):
         if tag not in (TAG_WALK, TAG_CRAWL):
             raise ValueError(f"gait tag must be walk or crawl, got {tag!r}")
         self.tag = tag
         self.profile = profile
         self.world = world
         self.queue = TransitionQueue()
+        self.transition = transition or TransitionCheck(profile, world)
         p = profile
         if tag == TAG_WALK:
             self.nominal_h = p.h_walk
@@ -115,6 +146,7 @@ class GaitAction:
         self._necessary_vertex_memo: dict[Pose, bool] = {}
         self._sufficient_vertex_memo: dict[Pose, bool] = {}
         self._necessary_edge_memo: dict[tuple[Pose, Pose], bool] = {}
+        self._sufficient_edge_memo: dict[tuple[Pose, Pose], bool] = {}
 
     def clear_memos(self):
         """Forget memoized condition results. The world is static, so they
@@ -122,26 +154,50 @@ class GaitAction:
         self._necessary_vertex_memo.clear()
         self._sufficient_vertex_memo.clear()
         self._necessary_edge_memo.clear()
+        self._sufficient_edge_memo.clear()
+        self.transition.clear()
 
     # -- conditions -------------------------------------------------------
-    # The vertex conditions and the necessary edge condition are memoized on
-    # the exact (frozen) poses, so every caller shares one result per input.
+    # Every condition is memoized on the exact (frozen) poses, so every
+    # caller shares one result per input. Each sufficient condition implies
+    # its necessary one: the sufficient volume holds the thin probe, its
+    # footprint covers the centre's floor point and its height test lies
+    # inside the band, and the padded sweep proves the continuous sweep of a
+    # body that holds the probe at every necessary sample. So each check is
+    # settled where it is cheapest:
+    # - `necessary_vertex` answers True from the sufficient-vertex memo
+    #   before it runs its kernel, and `Planner._steer_clear` asks a
+    #   candidate only the sufficient condition;
+    # - `admits_edge`, the gait edge test of `Planner.connect` and of the
+    #   graph (`graph_checks`), asks `sufficient_edge` first, whose grade the
+    #   planner needs anyway, and the necessary edge only if that fails; a
+    #   chain step that passes `sufficient_edge` skips the necessary checks;
+    # - `sufficient_edge` first tries the open-step accept (`sweep_open`):
+    #   on open floor one broad-phase test settles the padded sweep, its
+    #   floor support and both end vertices, without sampling;
+    # - `swept_clear`, the necessary sweep, accepts from its broad phase when
+    #   no box of the band is near.
+    # tests/test_actions.py and tests/test_world.py check these implications
+    # near the bounds, gap edges, box faces and grid-cell borders.
 
     def necessary_vertex(self, pose: Pose) -> bool:
         ok = self._necessary_vertex_memo.get(pose)
         if ok is None:
-            ok = self._necessary_vertex_memo[pose] = (
+            ok = self._necessary_vertex_memo[pose] = self._sufficient_vertex_memo.get(pose) or (
                 not abs(pose.h - self.nominal_h) > self.band_half
                 and volume_clear(pose, self.necessary_volume, self.world)
                 and floor_point_solid(pose.x, pose.y, self.world)
             )
         return ok
 
+    def _nominal(self, pose: Pose) -> bool:
+        return not abs(pose.h - self.nominal_h) > 1e-9
+
     def sufficient_vertex(self, pose: Pose) -> bool:
         ok = self._sufficient_vertex_memo.get(pose)
         if ok is None:
             ok = self._sufficient_vertex_memo[pose] = (
-                not abs(pose.h - self.nominal_h) > 1e-9
+                self._nominal(pose)
                 and volume_clear(pose, self.sufficient_volume, self.world)
                 and floor_solid(pose, self.sufficient_footprint, self.world)
             )
@@ -159,6 +215,25 @@ class GaitAction:
         return ok
 
     def sufficient_edge(self, p0: Pose, p1: Pose) -> bool:
+        key = (p0, p1)
+        ok = self._sufficient_edge_memo.get(key)
+        if ok is None:
+            ok = self._sufficient_edge_memo[key] = self._sufficient_edge(p0, p1)
+        return ok
+
+    def admits_edge(self, p0: Pose, p1: Pose) -> bool:
+        """The necessary edge condition, settled by the sufficient one when
+        that passes (which implies it)."""
+        return self.sufficient_edge(p0, p1) or self.necessary_edge(p0, p1)
+
+    def _sufficient_edge(self, p0: Pose, p1: Pose) -> bool:
+        if sweep_open(p0, p1, self.sweep_volume, self.world):
+            # the padded body is clear and supported at both ends, so each
+            # end is sufficient exactly when its h is nominal
+            memo = self._sufficient_vertex_memo
+            memo[p0] = ok0 = self._nominal(p0)
+            memo[p1] = ok1 = self._nominal(p1)
+            return ok0 and ok1
         if not self.sufficient_vertex(p0) or not self.sufficient_vertex(p1):
             return False
         n = sweep_steps(p0, p1, self.sufficient_volume, self.profile.res)
@@ -208,7 +283,7 @@ class GaitAction:
         """Try to step onto this gait's manifold from a foreign vertex, keeping
         the planar pose fixed. Returns the destination pose or None."""
         cand = Pose(pose.x, pose.y, pose.theta, self.nominal_h)
-        if not transition_feasible(cand, self.profile, self.world):
+        if not self.transition(cand):
             return None
         if not self.necessary_vertex(cand):
             return None
@@ -343,8 +418,9 @@ def build_actions(
         raise ValueError(f"unknown actions: {sorted(unknown)}")
     if not wanted:
         raise ValueError("at least one action must be enabled")
-    walk = GaitAction(TAG_WALK, profile, world)
-    crawl = GaitAction(TAG_CRAWL, profile, world)
+    transition = TransitionCheck(profile, world)
+    walk = GaitAction(TAG_WALK, profile, world, transition)
+    crawl = GaitAction(TAG_CRAWL, profile, world, transition)
     out: list[Action] = []
     for name in ACTION_ORDER:
         if name not in wanted:
@@ -358,22 +434,23 @@ def build_actions(
     return out
 
 
-def graph_checks(actions: list[Action], profile: RobotProfile, world: WorldModel) -> dict[str, TagChecks]:
-    """Wire per-tag necessary conditions for graph insertion re-asserts."""
+def graph_checks(actions: list[Action]) -> dict[str, TagChecks]:
+    """Wire per-tag necessary conditions for graph insertion re-asserts: the
+    same memoized tests the planner ran before inserting, so a re-assert of
+    an unchanged pose is a memo hit."""
     checks: dict[str, TagChecks] = {}
     by_tag = {a.tag: a for a in actions}
     for tag in (TAG_WALK, TAG_CRAWL):
         a = by_tag.get(tag)
         if a is not None:
-            checks[tag] = TagChecks(vertex=a.necessary_vertex, edge=a.necessary_edge)
+            checks[tag] = TagChecks(vertex=a.necessary_vertex, edge=a.admits_edge)
     jump = by_tag.get(TAG_JUMP)
     if jump is not None:
         checks[TAG_JUMP] = TagChecks(vertex=None, edge=jump.necessary_edge)
+    gait = by_tag.get(TAG_WALK) or by_tag.get(TAG_CRAWL) or jump._walk
+    transition = gait.transition
     checks[TAG_TRANSITION] = TagChecks(
         vertex=None,
-        edge=lambda p0, p1: (
-            math.hypot(p1.x - p0.x, p1.y - p0.y) < 1e-6
-            and transition_feasible(p0, profile, world)
-        ),
+        edge=lambda p0, p1: math.hypot(p1.x - p0.x, p1.y - p0.y) < 1e-6 and transition(p0),
     )
     return checks

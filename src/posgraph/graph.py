@@ -227,6 +227,11 @@ class PossibilityGraph:
         """True if an edge with these quantized endpoints currently exists."""
         return self._key_live(edge_key(tag, p0, p1))
 
+    def edge_live_between(self, tag: str, src: int, dst: int) -> bool:
+        """`edge_live` for the poses of two existing vertices, keyed on their
+        stored quantized poses."""
+        return self._key_live((tag, self.vertices[src].qpose, self.vertices[dst].qpose))
+
     def _key_live(self, k: tuple) -> bool:
         """Vertex dedup leaves at most one vertex per vertex tag on the
         source's quantized pose, so only their out-edges can hold the key."""

@@ -111,7 +111,7 @@ class Planner:
             raise PlannerInputError("at least one goal pose is required")
         self.actions: list[Action] = build_actions(action_names, profile, world)
         self.actions_by_tag = {a.tag: a for a in self.actions}
-        self.graph = PossibilityGraph(checks=graph_checks(self.actions, profile, world))
+        self.graph = PossibilityGraph(checks=graph_checks(self.actions))
         self.queue = ConfirmationQueue(world)
         self.rng = random.Random(self.config.seed)
         self.stats = PlannerStats()
@@ -202,17 +202,20 @@ class Planner:
             vp = action.project(action.extend_towards(last_pose, target))
             if pose_distance(last_pose, vp, HEADING_FREE_WEIGHTS) < 1e-9:
                 break
-            vp = self._steer_clear(action, vp)
-            if not action.necessary_vertex(vp):
-                break
-            if not action.necessary_edge(last_pose, vp):
-                break
+            # a sufficient step needs no steering and passes every necessary
+            # check; on open floor one broad-phase test settles it
+            if not action.sufficient_edge(last_pose, vp):
+                vp = self._steer_clear(action, vp)
+                if not action.necessary_vertex(vp):
+                    break
+                if not action.admits_edge(last_pose, vp):
+                    break
             before = g._next_vid
             vid = g.insert_vertex(vp, action.tag)
             stored = g.vertices[vid].pose
             if vid == last_id:
                 break
-            if not g.edge_live(action.tag, last_pose, stored):
+            if not g.edge_live_between(action.tag, last_id, vid):
                 if not g.insert_edge(last_id, vid, action.tag, self._gait_status(action.tag, last_id, vid)):
                     break
                 if vid >= before:
@@ -236,7 +239,8 @@ class Planner:
         for mag in (0.08, 0.16, 0.24):
             for sgn in (1.0, -1.0):
                 cand = Pose(vp.x + sgn * mag * px, vp.y + sgn * mag * py, vp.theta, vp.h)
-                if action.necessary_vertex(cand) and action.sufficient_vertex(cand):
+                # the sufficient condition implies the necessary one
+                if action.sufficient_vertex(cand):
                     return cand
         return vp
 

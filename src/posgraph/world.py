@@ -16,6 +16,17 @@ or arc first makes one broad-phase pass that keeps only the boxes
 overlapping the samples' bounding box, grown by the shape's reach, and then
 calls the same kernel per sample. `floor_solid` and `floor_point_solid`
 test every gap.
+
+Early accepts settle a sampled test from its broad phase alone, and each
+returns what the per-sample loop would. The open-step accept (`sweep_open`)
+grows the two end poses' planar bounding box by the footprint's reach plus
+the 1e-6 that `_near` adds; when that box lies inside the bounds and meets no
+box of the band and no gap, every sample of the sweep between the poses is
+clear and supported, so the sweep is never interpolated. `swept_clear` makes
+the same test, gaps aside, before it samples. The floor early accept in
+`_floor_solid_batch` returns True when no gap is near the samples and their
+grown bounding box lies inside the bounds, where `_supported` would pass
+every sample.
 """
 from __future__ import annotations
 
@@ -248,6 +259,7 @@ class WorldModel:
     _gap_rects: tuple = field(init=False, repr=False, compare=False)
     _bands: dict = field(init=False, repr=False, compare=False)
     _grids: dict = field(init=False, repr=False, compare=False)
+    _ceiling: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.bounds_x[0] < self.bounds_x[1] or not self.bounds_y[0] < self.bounds_y[1]:
@@ -265,6 +277,7 @@ class WorldModel:
         self._gap_rects = _aabb_rects(self._gap_boxes)
         self._bands = {}
         self._grids = {}
+        self._ceiling = max(2.0, max((b.z[1] for b in self.obstacles), default=0.0))
 
     def band(self, z_band: tuple[float, float]) -> _Band:
         """Obstacles strictly overlapping the z band, filtered once per band."""
@@ -306,9 +319,9 @@ class WorldModel:
 
     @property
     def ceiling(self) -> float:
-        """Upper bound for sampled posture heights."""
-        top = max((b.z[1] for b in self.obstacles), default=0.0)
-        return max(2.0, top)
+        """Upper bound for sampled posture heights: 2.0 or the top of the
+        highest obstacle, found once, since the obstacles never change."""
+        return self._ceiling
 
     def contains(self, x: float, y: float) -> bool:
         return (
@@ -461,8 +474,46 @@ def interpolate_poses(p0: Pose, p1: Pose, n: int):
     return _linspace(p0.x, p1.x, n + 1), _linspace(p0.y, p1.y, n + 1), thetas, _linspace(p0.h, p1.h, n + 1)
 
 
+def sweep_open(p0: Pose, p1: Pose, vol: VolumeSpec, world: WorldModel) -> bool:
+    """The open-step accept: one broad-phase test for a whole sweep of vol.
+
+    True when the planar bounding box of p0 and p1, grown by the footprint's
+    reach plus the 1e-6 that `_near` adds, lies inside the bounds and meets no
+    box of vol's z band and no gap. Every sample between p0 and p1 lies in
+    that box, so `_volume_clear_batch` and `_floor_solid_batch` with vol's
+    footprint pass at the samples, and so do `volume_clear` and `floor_solid`
+    at either end for any footprint within the same reach and any z band
+    inside vol's.
+    """
+    reach = vol.footprint.max_radius + 1e-6
+    return _open_box(p0, p1, reach, world, world.band(vol.z_band).boxes, world._gap_boxes)
+
+
+def _open_box(p0: Pose, p1: Pose, reach: float, world: WorldModel, *box_lists) -> bool:
+    """The planar bounding box of p0 and p1, grown by `reach` as `_near` grows
+    one, lies inside the bounds and overlaps no (xlo, xhi, ylo, yhi, ...) box
+    of the lists."""
+    x0, x1 = (p0.x, p1.x) if p0.x <= p1.x else (p1.x, p0.x)
+    y0, y1 = (p0.y, p1.y) if p0.y <= p1.y else (p1.y, p0.y)
+    xlo, xhi, ylo, yhi = x0 - reach, x1 + reach, y0 - reach, y1 + reach
+    if not _box_inside(world, xlo, xhi, ylo, yhi):
+        return False
+    for boxes in box_lists:
+        for b in boxes:
+            if b[0] <= xhi and b[1] >= xlo and b[2] <= yhi and b[3] >= ylo:
+                return False
+    return True
+
+
+def _box_inside(world: WorldModel, xlo: float, xhi: float, ylo: float, yhi: float) -> bool:
+    return world.bounds_x[0] <= xlo and xhi <= world.bounds_x[1] and world.bounds_y[0] <= ylo and yhi <= world.bounds_y[1]
+
+
 def swept_clear(p0: Pose, p1: Pose, vol: VolumeSpec, world: WorldModel, res: float) -> bool:
-    """volume_clear along the straight interpolation from p0 to p1, endpoints included."""
+    """volume_clear along the straight interpolation from p0 to p1, endpoints
+    included; True without sampling when no box of the band is near (`_open_box`)."""
+    if _open_box(p0, p1, vol.footprint.max_radius + 1e-6, world, world.band(vol.z_band).boxes):
+        return True
     n = sweep_steps(p0, p1, vol, res)
     xs, ys, thetas, _ = interpolate_poses(p0, p1, n)
     return _volume_clear_batch(xs, ys, thetas, vol, world)
@@ -580,8 +631,13 @@ def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bo
 
 
 def _floor_solid_batch(xs, ys, thetas, footprint: Footprint, world: WorldModel) -> bool:
-    """`floor_solid` at every sample, against the gaps near the samples."""
-    gaps = _near(world._gap_boxes, _gap_shapes(footprint, world), xs, ys, footprint.max_radius + 1e-6)
+    """`floor_solid` at every sample, against the gaps near the samples; True
+    at once when no gap is near and the samples' bounding box, grown by the
+    same reach, lies inside the bounds."""
+    reach = footprint.max_radius + 1e-6
+    gaps = _near(world._gap_boxes, _gap_shapes(footprint, world), xs, ys, reach)
+    if not gaps and _box_inside(world, min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach):
+        return True
     return all(_supported(x, y, th, footprint, world, gaps) for x, y, th in zip(xs, ys, thetas))
 
 

@@ -7,6 +7,7 @@ import pytest
 from posgraph import BUILTIN_NAMES, Box, GapRect, Planner, PlannerConfig, Pose, WorldModel, build_actions
 from posgraph import confirm
 from posgraph.actions import (
+    STEP,
     GaitAction,
     JumpAction,
     TransitionQueue,
@@ -17,7 +18,7 @@ from posgraph.confirm import REFUTED, EdgeSnapshot, JumpConfirmJob, run_to_verdi
 from posgraph.graph import TAG_JUMP
 from posgraph.scenarios import builtin_scenario
 
-from conftest import make_random_world, random_pose
+from conftest import make_random_world, near_edge_pose, near_edge_worlds, random_pose, step_from
 
 
 def gait(world, profile, tag):
@@ -81,6 +82,52 @@ def test_sufficient_implies_necessary_fuzz(profile):
                     assert a.necessary_edge(p0, p1), (tag, p0, p1)
     assert hits["walk"] > 80 and hits["crawl"] > 80
     assert edge_hits > 100
+
+
+def test_sufficient_vertex_implies_necessary_vertex_near_edges(profile):
+    """`necessary_vertex` answers True from the sufficient-vertex memo, and
+    `Planner._steer_clear` asks only the sufficient condition of a candidate;
+    both rest on this implication. Two actions judge each pose, so each
+    condition runs its own kernel, on poses near the bounds, gap edges, box
+    faces and grid-cell borders."""
+    rng = random.Random(2101)
+    hits = {"walk": 0, "crawl": 0}
+    poses = 0
+    for world, lines in near_edge_worlds(rng):
+        for tag in ("walk", "crawl"):
+            suf, nec = gait(world, profile, tag), gait(world, profile, tag)
+            for _ in range(4000):
+                h = suf.nominal_h if rng.random() < 0.9 else rng.uniform(0.0, 1.5)
+                p = near_edge_pose(rng, world, lines, h)
+                poses += 1
+                if suf.sufficient_vertex(p):
+                    hits[tag] += 1
+                    assert nec.necessary_vertex(p), (tag, p)
+    assert poses == 80_000
+    assert min(hits.values()) > 15000, hits
+
+
+def test_sufficient_edge_implies_necessary_edge_near_edges(profile):
+    """A gait edge is admitted on `sufficient_edge or necessary_edge`,
+    sufficient first, and a chain step that passes the sufficient condition
+    skips the necessary checks; that is exact only if the sufficient edge
+    condition implies the necessary one. Chain-length steps from poses near
+    edges, each condition judged by its own action."""
+    rng = random.Random(2102)
+    hits = 0
+    for world, lines in near_edge_worlds(rng):
+        for tag in ("walk", "crawl"):
+            suf, nec = gait(world, profile, tag), gait(world, profile, tag)
+            for _ in range(800):
+                p0 = near_edge_pose(rng, world, lines, suf.nominal_h)
+                p1 = step_from(rng, p0, rng.choice((STEP, rng.uniform(0.0, 0.45))), suf.nominal_h)
+                if suf.sufficient_edge(p0, p1):
+                    hits += 1
+                    assert nec.necessary_edge(p0, p1), (tag, p0, p1)
+                    assert suf.admits_edge(p0, p1)
+                else:
+                    assert suf.admits_edge(p0, p1) == nec.necessary_edge(p0, p1), (tag, p0, p1)
+    assert hits > 5000, hits
 
 
 def test_jump_sufficient_is_constantly_false(open_world, profile):
@@ -319,7 +366,7 @@ def test_jump_only_build_still_checks_gait_endpoints(open_world, profile):
 
 def test_graph_checks_wiring(open_world, profile):
     actions = build_actions(["walk", "crawl", "jump"], profile, open_world)
-    checks = graph_checks(actions, profile, open_world)
+    checks = graph_checks(actions)
     assert set(checks) == {"walk", "crawl", "jump", "transition"}
     assert checks["jump"].vertex is None
     assert checks["walk"].vertex(Pose(5, 4, 0, 1.0))
@@ -327,7 +374,7 @@ def test_graph_checks_wiring(open_world, profile):
     assert trans(Pose(2, 2, 0, 1.0), Pose(2, 2, 0, 0.3))
     assert not trans(Pose(2, 2, 0, 1.0), Pose(2.5, 2, 0, 0.3))  # moved planar pose
     barred = WorldModel((0, 10), (0, 8), [Box((4, 5), (0, 8), (0.7, 1.9))], [])
-    bchecks = graph_checks(build_actions(["walk"], profile, barred), profile, barred)
+    bchecks = graph_checks(build_actions(["walk"], profile, barred))
     assert "crawl" not in bchecks
     assert not bchecks["transition"].edge(Pose(4.5, 4, 0, 1.0), Pose(4.5, 4, 0, 0.3))
 
@@ -368,6 +415,36 @@ def test_repeated_conditions_run_their_kernels_once(open_world, profile, monkeyp
     walk.clear_memos()
     assert walk.necessary_vertex(p0) and walk.sufficient_vertex(p0)
     assert calls["volume_clear"] == 5 and calls["floor_point_solid"] == 3 and calls["floor_solid"] == 2
+
+
+def test_transition_runs_once_per_planar_pose_per_cycle(profile, monkeypatch):
+    """`transition_from` on either gait and the graph's transition re-check
+    share one memo keyed on (x, y, theta); clearing the memos clears it."""
+    from posgraph import actions as actions_mod
+
+    calls = []
+    original = actions_mod.transition_feasible
+
+    def counted(pose, prof, world):
+        calls.append((pose.x, pose.y, pose.theta))
+        return original(pose, prof, world)
+
+    monkeypatch.setattr(actions_mod, "transition_feasible", counted)
+    world = WorldModel((0, 10), (0, 8), [Box((4, 5), (0, 8), (0.7, 1.9))], [])
+    walk, crawl = build_actions(["walk", "crawl"], profile, world)
+    trans = graph_checks([walk, crawl])["transition"].edge
+    standing, kneeling = Pose(2, 2, 0.5, 1.0), Pose(2, 2, 0.5, 0.3)
+    assert crawl.transition_from(standing) == kneeling
+    assert trans(standing, kneeling)
+    assert walk.transition_from(kneeling) == standing
+    assert trans(kneeling, standing)
+    assert calls == [(2.0, 2.0, 0.5)]
+    assert crawl.transition_from(Pose(4.5, 4, 0, 1.0)) is None  # under the bar
+    assert not trans(Pose(4.5, 4, 0, 1.0), Pose(4.5, 4, 0, 0.3))
+    assert len(calls) == 2
+    walk.clear_memos()
+    assert trans(standing, kneeling)
+    assert len(calls) == 3
 
 
 def test_jump_clears_the_memos_of_its_gaits(open_world, profile):

@@ -2,7 +2,7 @@
 A change that alters the graph dump, the event log or the JSON path
 description of any builtin with a fixed seed fails here, even if every other
 test still passes. The seed-0 dump and log digests hold for the library and
-for a CLI solve with default flags alike; seeds 1-9 are checked through the
+for a CLI solve with default flags alike; seeds 1-39 are checked through the
 library."""
 import hashlib
 import json
@@ -17,6 +17,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_builtins_seed0.json").read_text())["sha256"]
 GOLDEN_SEEDS = json.loads((DATA / "golden_builtins_seeds1to9.json").read_text())["sha256"]
 GOLDEN_PATHS = json.loads((DATA / "golden_paths.json").read_text())["sha256"]
+GOLDEN_WIDE = json.loads((DATA / "golden_builtins_seeds10to39.json").read_text())
 
 
 def _sha256(text):
@@ -57,6 +58,20 @@ def test_seed_matrix_solve_reproduces_recorded_digest(name, seed):
     _, digest, path_digest = _solve(name, seed)
     assert digest == GOLDEN_SEEDS[name][str(seed)]
     assert path_digest == GOLDEN_PATHS[name][str(seed)]
+
+
+def test_wide_golden_covers_every_builtin_and_seed():
+    for key in ("sha256", "path_sha256"):
+        assert sorted(GOLDEN_WIDE[key]) == sorted(BUILTIN_NAMES)
+        assert all(sorted(GOLDEN_WIDE[key][name], key=int) == [str(s) for s in range(10, 40)] for name in BUILTIN_NAMES)
+
+
+@pytest.mark.parametrize("seed", range(10, 40))
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_wide_seed_matrix_solve_reproduces_recorded_digest(name, seed):
+    _, digest, path_digest = _solve(name, seed)
+    assert digest == GOLDEN_WIDE["sha256"][name][str(seed)]
+    assert path_digest == GOLDEN_WIDE["path_sha256"][name][str(seed)]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

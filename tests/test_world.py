@@ -33,12 +33,13 @@ from posgraph.world import (
     parabola_clear,
     sample_pose,
     segment_crosses_gap,
+    sweep_open,
     sweep_steps,
     swept_clear,
     volume_clear,
 )
 
-from conftest import make_random_world
+from conftest import make_random_world, near_edge_pose, near_edge_worlds, step_from
 
 
 # -- oracles --------------------------------------------------------------
@@ -361,6 +362,14 @@ def test_ceiling_property():
     assert w.ceiling == 2.0
     w2 = WorldModel((0, 5), (0, 5), (Box((0, 1), (0, 1), (0, 3.2)),), ())
     assert w2.ceiling == 3.2
+
+
+def test_ceiling_is_found_once_and_read_only():
+    w = WorldModel((0, 5), (0, 5), (Box((0, 1), (0, 1), (0, 3.2)),), ())
+    w.obstacles = ()  # the obstacles are not scanned again
+    assert w.ceiling == 3.2
+    with pytest.raises(AttributeError):
+        w.ceiling = 5.0
 
 
 # -- sweeps ---------------------------------------------------------------
@@ -966,3 +975,66 @@ def test_robot_profile_apex_grid_validation():
     for bad in (5, (), [-0.2], ["0.2"], [True], [float("nan")], [float("inf")], "0.2"):
         with pytest.raises(ValueError, match="apex_grid"):
             RobotProfile(apex_grid=bad)
+
+
+# -- the open-step accept and the floor early accept ---------------------------
+
+# the padded sweep volumes of walk and crawl (`GaitAction.sweep_volume`: r_walk
+# and the crawl rectangle grown by half of res) with the bodies they pad
+OPEN_STEP_VOLUMES = (
+    (VolumeSpec(DiscFootprint(0.275), (0.0, 1.6)), DiscFootprint(0.25)),
+    (VolumeSpec(RectFootprint(0.95, 0.55), (0.0, 0.6)), RectFootprint(0.9, 0.5)),
+)
+
+
+def test_open_step_accept_implies_the_sampled_sweep_and_its_floor():
+    """When `sweep_open` passes, the sampled sweep of the padded volume passes
+    (by the kernels and by the all-boxes numpy reference), so does its floor
+    support at every sample, and the padded body at either end is clear and
+    supported; steps near the bounds, gap edges, box faces and cell borders."""
+    rng = random.Random(2103)
+    opened = 0
+    for world, lines in near_edge_worlds(rng):
+        for vol, body in OPEN_STEP_VOLUMES:
+            body_vol = VolumeSpec(body, vol.z_band)
+            for _ in range(1000):
+                p0 = near_edge_pose(rng, world, lines, 1.0)
+                p1 = step_from(rng, p0, rng.choice((0.3, rng.uniform(0.0, 0.45), rng.uniform(0.45, 2.0))), 1.0)
+                if not sweep_open(p0, p1, vol, world):
+                    continue
+                opened += 1
+                # sampled as the padded volume needs, and as `sufficient_edge` does
+                for n in {sweep_steps(p0, p1, vol, 0.05), sweep_steps(p0, p1, body_vol, 0.05)}:
+                    xs, ys, ths, _ = interpolate_poses(p0, p1, n)
+                    assert _volume_clear_batch(xs, ys, ths, vol, world), (p0, p1, vol)
+                    assert reference_volume_clear_batch(xs, ys, ths, vol, world), (p0, p1, vol)
+                    assert _floor_solid_batch(xs, ys, ths, vol.footprint, world), (p0, p1, vol)
+                    assert all(floor_solid(Pose(x, y, th, 0.0), vol.footprint, world) for x, y, th in zip(xs, ys, ths))
+                for p in (p0, p1):
+                    assert volume_clear(p, body_vol, world) and floor_solid(p, body, world), (p, body)
+    assert opened > 5000, opened
+
+
+def test_floor_early_accept_equals_the_per_sample_loop():
+    """`_floor_solid_batch` returns True at once when no gap is near and the
+    grown bounding box lies inside the bounds; the answer must be the one
+    `floor_solid` gives at every sample, near the bounds and gap edges too."""
+    rng = random.Random(2104)
+    early = refused = 0
+    footprints = KERNEL_FOOTPRINTS + tuple(vol.footprint for vol, _ in OPEN_STEP_VOLUMES)
+    for world, lines in near_edge_worlds(rng):
+        for fp in footprints:
+            vol = VolumeSpec(fp, (0.0, 1.0))
+            reach = fp.max_radius + 1e-6
+            for _ in range(300):
+                p0 = near_edge_pose(rng, world, lines, 1.0)
+                p1 = step_from(rng, p0, rng.choice((0.0, 0.3, rng.uniform(0.0, 2.0))), 1.0)
+                xs, ys, ths, _ = interpolate_poses(p0, p1, sweep_steps(p0, p1, vol, 0.05))
+                want = all(floor_solid(Pose(x, y, th, 0.0), fp, world) for x, y, th in zip(xs, ys, ths))
+                assert _floor_solid_batch(xs, ys, ths, fp, world) == want, (p0, p1, fp)
+                xlo, xhi, ylo, yhi = min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach
+                gap_near = any(g[0] <= xhi and g[1] >= xlo and g[2] <= yhi and g[3] >= ylo for g in world._gap_boxes)
+                inside = xlo >= world.bounds_x[0] and xhi <= world.bounds_x[1] and ylo >= world.bounds_y[0] and yhi <= world.bounds_y[1]
+                early += inside and not gap_near
+                refused += not want
+    assert early > 8000 and refused > 6000, (early, refused)
