@@ -13,6 +13,7 @@ import math
 import random
 
 from . import confirm
+from . import world as world_mod
 from .graph import TAG_CRAWL, TAG_JUMP, TAG_TRANSITION, TAG_WALK, TagChecks
 from .world import (
     DiscFootprint,
@@ -83,41 +84,16 @@ def transition_feasible(pose: Pose, profile: RobotProfile, world: WorldModel) ->
     return floor_solid(probe, vol.footprint, world)
 
 
-class TransitionCheck:
-    """`transition_feasible` memoized on the planar pose it reads, shared by
-    both gaits' `transition_from` and the graph's transition re-check, so a
-    posture change at one (x, y, theta) is judged once per cycle."""
-
-    def __init__(self, profile: RobotProfile, world: WorldModel):
-        self.profile = profile
-        self.world = world
-        self._memo: dict[tuple[float, float, float], bool] = {}
-
-    def __call__(self, pose: Pose) -> bool:
-        key = (pose.x, pose.y, pose.theta)
-        ok = self._memo.get(key)
-        if ok is None:
-            ok = self._memo[key] = transition_feasible(pose, self.profile, self.world)
-        return ok
-
-    def clear(self):
-        self._memo.clear()
-
-
 class GaitAction:
-    """A holonomic gait (walk or crawl) tied to one posture band.
+    """A holonomic gait (walk or crawl) tied to one posture band."""
 
-    `transition` is the memoized posture-change check; `build_actions` hands
-    both gaits one instance."""
-
-    def __init__(self, tag: str, profile: RobotProfile, world: WorldModel, transition: TransitionCheck | None = None):
+    def __init__(self, tag: str, profile: RobotProfile, world: WorldModel):
         if tag not in (TAG_WALK, TAG_CRAWL):
             raise ValueError(f"gait tag must be walk or crawl, got {tag!r}")
         self.tag = tag
         self.profile = profile
         self.world = world
         self.queue = TransitionQueue()
-        self.transition = transition or TransitionCheck(profile, world)
         p = profile
         if tag == TAG_WALK:
             self.nominal_h = p.h_walk
@@ -155,7 +131,6 @@ class GaitAction:
         self._sufficient_vertex_memo.clear()
         self._necessary_edge_memo.clear()
         self._sufficient_edge_memo.clear()
-        self.transition.clear()
 
     # -- conditions -------------------------------------------------------
     # Every condition is memoized on the exact (frozen) poses, so every
@@ -238,10 +213,8 @@ class GaitAction:
             return False
         n = sweep_steps(p0, p1, self.sufficient_volume, self.profile.res)
         xs, ys, ths, _ = interpolate_poses(p0, p1, n)
-        # imported per call: perfbench/tracer.py patches this name on world and confirm only
-        from .world import _volume_clear_batch
-
-        if not _volume_clear_batch(xs, ys, ths, self.sweep_volume, self.world):
+        # looked up on the module: perfbench/tracer.py patches this name on world and confirm only
+        if not world_mod._volume_clear_batch(xs, ys, ths, self.sweep_volume, self.world):
             return False
         return _floor_solid_batch(xs, ys, ths, self.sweep_footprint, self.world)
 
@@ -283,7 +256,7 @@ class GaitAction:
         """Try to step onto this gait's manifold from a foreign vertex, keeping
         the planar pose fixed. Returns the destination pose or None."""
         cand = Pose(pose.x, pose.y, pose.theta, self.nominal_h)
-        if not self.transition(cand):
+        if not transition_feasible(cand, self.profile, self.world):
             return None
         if not self.necessary_vertex(cand):
             return None
@@ -418,9 +391,8 @@ def build_actions(
         raise ValueError(f"unknown actions: {sorted(unknown)}")
     if not wanted:
         raise ValueError("at least one action must be enabled")
-    transition = TransitionCheck(profile, world)
-    walk = GaitAction(TAG_WALK, profile, world, transition)
-    crawl = GaitAction(TAG_CRAWL, profile, world, transition)
+    walk = GaitAction(TAG_WALK, profile, world)
+    crawl = GaitAction(TAG_CRAWL, profile, world)
     out: list[Action] = []
     for name in ACTION_ORDER:
         if name not in wanted:
@@ -436,8 +408,9 @@ def build_actions(
 
 def graph_checks(actions: list[Action]) -> dict[str, TagChecks]:
     """Wire per-tag necessary conditions for graph insertion re-asserts: the
-    same memoized tests the planner ran before inserting, so a re-assert of
-    an unchanged pose is a memo hit."""
+    same memoized gait and jump tests the planner ran before inserting, so a
+    re-assert of an unchanged pose is a memo hit. A transition runs
+    `transition_feasible` again."""
     checks: dict[str, TagChecks] = {}
     by_tag = {a.tag: a for a in actions}
     for tag in (TAG_WALK, TAG_CRAWL):
@@ -447,10 +420,9 @@ def graph_checks(actions: list[Action]) -> dict[str, TagChecks]:
     jump = by_tag.get(TAG_JUMP)
     if jump is not None:
         checks[TAG_JUMP] = TagChecks(vertex=None, edge=jump.necessary_edge)
-    gait = by_tag.get(TAG_WALK) or by_tag.get(TAG_CRAWL) or jump._walk
-    transition = gait.transition
+    profile, world = actions[0].profile, actions[0].world
     checks[TAG_TRANSITION] = TagChecks(
         vertex=None,
-        edge=lambda p0, p1: math.hypot(p1.x - p0.x, p1.y - p0.y) < 1e-6 and transition(p0),
+        edge=lambda p0, p1: math.hypot(p1.x - p0.x, p1.y - p0.y) < 1e-6 and transition_feasible(p0, profile, world),
     )
     return checks

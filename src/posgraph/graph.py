@@ -8,6 +8,10 @@ job-confirmed in place, or records its keys as refuted for good and removes
 it. The tag sets the direction: a jump is one-way, any other edge has a twin
 that shares every step.
 
+One key index answers whether an edge key is live, refuted or free: it maps
+the quantized key (tag, source pose, destination pose) of each live edge to
+its id, and each refuted key to None, for good.
+
 The start's and the goals' reach sets are live: inserting an edge extends them
 in place by a search from its new end; only a removal or new endpoints make the
 next query recompute them. Copy one before changing the graph while reading it.
@@ -32,7 +36,7 @@ TAG_TRANSITION = "transition"
 VERTEX_TAGS = (TAG_WALK, TAG_CRAWL)
 EDGE_TAGS = (TAG_WALK, TAG_CRAWL, TAG_JUMP, TAG_TRANSITION)
 
-# quantization used by the removed-edge registry and vertex dedup: 1 cm in
+# quantization used by the edge key index and vertex dedup: 1 cm in
 # x/y/h, 0.01 rad in heading
 _Q_XY = 0.01
 _Q_TH = 0.01
@@ -157,7 +161,8 @@ class PossibilityGraph:
         self._tag_vertices: dict[str, list[int]] = {t: [] for t in VERTEX_TAGS}
         self._uf: dict[str, _UnionFind] = {t: _UnionFind() for t in VERTEX_TAGS}
         self._uf_dirty: set[str] = set()
-        self._removed_registry: set[tuple] = set()
+        # edge key -> id of the live edge holding it, or None once refuted
+        self._keys: dict[tuple, int | None] = {}
         self._vertex_keys: dict[tuple, int] = {}
         # "start" and "goal" reach sets; a missing one is recomputed on query
         self._reach: dict[str, set[int]] = {}
@@ -182,7 +187,7 @@ class PossibilityGraph:
     def insert_vertex(self, pose: Pose, tag: str) -> int:
         """Add a vertex on the tagged manifold; re-asserts the vertex condition.
 
-        A pose landing within registry quantization of an existing same-tag
+        A pose landing within key quantization of an existing same-tag
         vertex (heading ignored) reuses that vertex, which is what lets
         independently grown chains knit together.
         """
@@ -221,29 +226,16 @@ class PossibilityGraph:
         return self._key_blocked(edge_key(tag, p0, p1))
 
     def _key_blocked(self, k: tuple) -> bool:
-        return k in self._removed_registry or self._key_live(k)
+        return k in self._keys
 
     def edge_live(self, tag: str, p0: Pose, p1: Pose) -> bool:
         """True if an edge with these quantized endpoints currently exists."""
-        return self._key_live(edge_key(tag, p0, p1))
+        return self._keys.get(edge_key(tag, p0, p1)) is not None
 
     def edge_live_between(self, tag: str, src: int, dst: int) -> bool:
         """`edge_live` for the poses of two existing vertices, keyed on their
         stored quantized poses."""
-        return self._key_live((tag, self.vertices[src].qpose, self.vertices[dst].qpose))
-
-    def _key_live(self, k: tuple) -> bool:
-        """Vertex dedup leaves at most one vertex per vertex tag on the
-        source's quantized pose, so only their out-edges can hold the key."""
-        tag, q0, q1 = k
-        for vtag in VERTEX_TAGS:
-            vid = self._vertex_keys.get((vtag, q0[0], q0[1], q0[3]))
-            if vid is not None and self.vertices[vid].qpose == q0:
-                for eid in self._out[vid]:
-                    e = self.edges[eid]
-                    if e.tag == tag and self.vertices[e.dst].qpose == q1:
-                        return True
-        return False
+        return self._keys.get((tag, self.vertices[src].qpose, self.vertices[dst].qpose)) is not None
 
     def insert_edge(
         self,
@@ -293,6 +285,7 @@ class PossibilityGraph:
         eid = self._next_eid
         self._next_eid += 1
         self.edges[eid] = EdgeRecord(eid, tag, src, dst, status, cost, apex)
+        self._keys[(tag, self.vertices[src].qpose, self.vertices[dst].qpose)] = eid
         self._out[src].append(eid)
         self._in[dst].append(eid)
         start, goal = self._reach.get("start"), self._reach.get("goal")
@@ -313,6 +306,7 @@ class PossibilityGraph:
             doom.append(self.edges[e.twin])
         for rec in doom:
             del self.edges[rec.id]
+            del self._keys[(rec.tag, self.vertices[rec.src].qpose, self.vertices[rec.dst].qpose)]
             self._out[rec.src].remove(rec.id)
             self._in[rec.dst].remove(rec.id)
             if rec.tag in VERTEX_TAGS:
@@ -329,11 +323,11 @@ class PossibilityGraph:
             if e.twin is not None and e.twin in self.edges:
                 self.edges[e.twin].status = EdgeStatus.JOB_CONFIRMED
             return
-        q0, q1 = self.vertices[e.src].qpose, self.vertices[e.dst].qpose
-        self._removed_registry.add((e.tag, q0, q1))
-        if e.tag != TAG_JUMP:
-            self._removed_registry.add((e.tag, q1, q0))
         self.remove_edge(eid)
+        q0, q1 = self.vertices[e.src].qpose, self.vertices[e.dst].qpose
+        self._keys[(e.tag, q0, q1)] = None
+        if e.tag != TAG_JUMP:
+            self._keys[(e.tag, q1, q0)] = None
 
     # -- connectivity -----------------------------------------------------
 
@@ -514,8 +508,10 @@ class PossibilityGraph:
             chk = self.checks.get(e.tag)
             if chk and chk.edge:
                 assert chk.edge(self.vertices[e.src].pose, self.vertices[e.dst].pose)
-        keys = {(e.tag, self.vertices[e.src].qpose, self.vertices[e.dst].qpose) for e in self.edges.values()}
+        keys = {(e.tag, self.vertices[e.src].qpose, self.vertices[e.dst].qpose): e.id for e in self.edges.values()}
         assert len(keys) == len(self.edges), "two live edges share a quantized key"
+        live = {k: eid for k, eid in self._keys.items() if eid is not None}
+        assert live == keys, "the edge key index differs from the live edges"
         fresh = {"start": self._bfs([self.start_id], self._out, True), "goal": self._bfs(self.goal_ids, self._in, False)}
         for name, reach in self._reach.items():
             assert reach == fresh[name], f"{name} reach set differs from a fresh search"

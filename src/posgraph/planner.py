@@ -58,13 +58,14 @@ def _plain_int(x) -> bool:
 class PlannerConfig:
     """The solve budget: wall-clock limit and random seed.
 
-    `t_max` is in seconds and may be `math.inf`; the same `seed` gives the
-    same graph, event log and path. `workers` has no effect, since
-    confirmation jobs run on the planner's own thread; it is kept, and still
-    checked to be >= 1, so that existing callers keep working. The tuning
-    values are module constants: `STEP` in `actions`, the surcharges in
-    `graph`, the metric weights in `world` and the per-cycle transition cap,
-    goal radius and goal bias here.
+    `t_max` is in seconds and may be `math.inf`. It is checked where a cycle
+    starts and between candidate paths, so a solve never stops partway
+    through a cycle's growth. The same `seed` gives the same graph, event
+    log and path. `workers` has no effect, since confirmation jobs run on the
+    planner's own thread; it is kept, and still checked to be >= 1, so that
+    existing callers keep working. The tuning values are module constants:
+    `STEP` in `actions`, the surcharges in `graph`, the metric weights in
+    `world` and the per-cycle transition cap, goal radius and goal bias here.
     """
 
     t_max: float = 60.0
@@ -206,8 +207,7 @@ class Planner:
             # check; on open floor one broad-phase test settles it
             if not action.sufficient_edge(last_pose, vp):
                 vp = self._steer_clear(action, vp)
-                if not action.necessary_vertex(vp):
-                    break
+                # the necessary edge condition includes vp's vertex condition
                 if not action.admits_edge(last_pose, vp):
                     break
             before = g._next_vid
@@ -456,8 +456,6 @@ class Planner:
                 action.clear_memos()
             self._apply_verdicts()
             for action in self.actions:
-                if time.monotonic() >= deadline:
-                    break
                 gait = isinstance(action, GaitAction)
                 # the jump owns no manifold, so it takes no transitions
                 new_ids = self.perform_transitions(action) if gait else []

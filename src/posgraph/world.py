@@ -23,10 +23,9 @@ grows the two end poses' planar bounding box by the footprint's reach plus
 the 1e-6 that `_near` adds; when that box lies inside the bounds and meets no
 box of the band and no gap, every sample of the sweep between the poses is
 clear and supported, so the sweep is never interpolated. `swept_clear` makes
-the same test, gaps aside, before it samples. The floor early accept in
-`_floor_solid_batch` returns True when no gap is near the samples and their
-grown bounding box lies inside the bounds, where `_supported` would pass
-every sample.
+the same test, gaps aside, before it samples. Floor support of a sampled
+sweep (`_floor_solid_batch`) tests every sample against the gaps near the
+samples.
 """
 from __future__ import annotations
 
@@ -496,17 +495,13 @@ def _open_box(p0: Pose, p1: Pose, reach: float, world: WorldModel, *box_lists) -
     x0, x1 = (p0.x, p1.x) if p0.x <= p1.x else (p1.x, p0.x)
     y0, y1 = (p0.y, p1.y) if p0.y <= p1.y else (p1.y, p0.y)
     xlo, xhi, ylo, yhi = x0 - reach, x1 + reach, y0 - reach, y1 + reach
-    if not _box_inside(world, xlo, xhi, ylo, yhi):
+    if not (world.bounds_x[0] <= xlo and xhi <= world.bounds_x[1] and world.bounds_y[0] <= ylo and yhi <= world.bounds_y[1]):
         return False
     for boxes in box_lists:
         for b in boxes:
             if b[0] <= xhi and b[1] >= xlo and b[2] <= yhi and b[3] >= ylo:
                 return False
     return True
-
-
-def _box_inside(world: WorldModel, xlo: float, xhi: float, ylo: float, yhi: float) -> bool:
-    return world.bounds_x[0] <= xlo and xhi <= world.bounds_x[1] and world.bounds_y[0] <= ylo and yhi <= world.bounds_y[1]
 
 
 def swept_clear(p0: Pose, p1: Pose, vol: VolumeSpec, world: WorldModel, res: float) -> bool:
@@ -631,13 +626,8 @@ def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bo
 
 
 def _floor_solid_batch(xs, ys, thetas, footprint: Footprint, world: WorldModel) -> bool:
-    """`floor_solid` at every sample, against the gaps near the samples; True
-    at once when no gap is near and the samples' bounding box, grown by the
-    same reach, lies inside the bounds."""
-    reach = footprint.max_radius + 1e-6
-    gaps = _near(world._gap_boxes, _gap_shapes(footprint, world), xs, ys, reach)
-    if not gaps and _box_inside(world, min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach):
-        return True
+    """`floor_solid` at every sample, against the gaps near the samples."""
+    gaps = _near(world._gap_boxes, _gap_shapes(footprint, world), xs, ys, footprint.max_radius + 1e-6)
     return all(_supported(x, y, th, footprint, world, gaps) for x, y, th in zip(xs, ys, thetas))
 
 

@@ -236,6 +236,9 @@ def test_sufficient_implies_necessary_and_solution_edges_valid(matrix, capfd):
     cs_hits = {"walk": 0, "crawl": 0, "jump": 0}
     for w in range(20):
         world = make_random_world(rng, with_gaps=bool(w % 2))
+        # each necessary condition is judged by its own action, so no memo of
+        # the sufficient one can answer it
+        judges = {j.tag: j for j in build_actions(ALL, profile, world)}
         for a in build_actions(ALL, profile, world):
             for _ in range(500):
                 p = random_pose(rng, world)
@@ -244,7 +247,7 @@ def test_sufficient_implies_necessary_and_solution_edges_valid(matrix, capfd):
                 # the jump owns no manifold, so it has no vertex conditions to compare
                 if a.tag != "jump" and a.sufficient_vertex(p):
                     cs_hits[a.tag] += 1
-                    violations += not a.necessary_vertex(p)
+                    violations += not judges[a.tag].necessary_vertex(p)
             for _ in range(500):
                 p0 = random_pose(rng, world)
                 if a.tag != "jump" and rng.random() < 0.5:
@@ -255,7 +258,7 @@ def test_sufficient_implies_necessary_and_solution_edges_valid(matrix, capfd):
                 p1 = Pose(x, y, rng.uniform(-3.14, 3.14), h1)
                 if a.sufficient_edge(p0, p1):
                     cs_hits[a.tag] += 1
-                    violations += not a.necessary_edge(p0, p1)
+                    violations += not judges[a.tag].necessary_edge(p0, p1)
     edge_total = 0
     edge_bad = []
     for name, acts in MATRIX:

@@ -60,6 +60,9 @@ def test_sufficient_implies_necessary_fuzz(profile):
     for _ in range(6):
         world = make_random_world(rng, with_gaps=True)
         actions = {a.tag: a for a in build_actions(["walk", "crawl"], profile, world)}
+        # each necessary condition is judged by its own action, so no memo of
+        # the sufficient one can answer it
+        judges = {a.tag: a for a in build_actions(["walk", "crawl"], profile, world)}
         for tag, a in actions.items():
             for _ in range(250):
                 p = random_pose(rng, world)
@@ -67,7 +70,7 @@ def test_sufficient_implies_necessary_fuzz(profile):
                     p = Pose(p.x, p.y, p.theta, a.nominal_h)
                 if a.sufficient_vertex(p):
                     hits[tag] += 1
-                    assert a.necessary_vertex(p), (tag, p)
+                    assert judges[tag].necessary_vertex(p), (tag, p)
             for _ in range(120):
                 p0 = random_pose(rng, world)
                 p0 = Pose(p0.x, p0.y, p0.theta, a.nominal_h)
@@ -79,7 +82,7 @@ def test_sufficient_implies_necessary_fuzz(profile):
                 )
                 if a.sufficient_edge(p0, p1):
                     edge_hits += 1
-                    assert a.necessary_edge(p0, p1), (tag, p0, p1)
+                    assert judges[tag].necessary_edge(p0, p1), (tag, p0, p1)
     assert hits["walk"] > 80 and hits["crawl"] > 80
     assert edge_hits > 100
 
@@ -415,36 +418,6 @@ def test_repeated_conditions_run_their_kernels_once(open_world, profile, monkeyp
     walk.clear_memos()
     assert walk.necessary_vertex(p0) and walk.sufficient_vertex(p0)
     assert calls["volume_clear"] == 5 and calls["floor_point_solid"] == 3 and calls["floor_solid"] == 2
-
-
-def test_transition_runs_once_per_planar_pose_per_cycle(profile, monkeypatch):
-    """`transition_from` on either gait and the graph's transition re-check
-    share one memo keyed on (x, y, theta); clearing the memos clears it."""
-    from posgraph import actions as actions_mod
-
-    calls = []
-    original = actions_mod.transition_feasible
-
-    def counted(pose, prof, world):
-        calls.append((pose.x, pose.y, pose.theta))
-        return original(pose, prof, world)
-
-    monkeypatch.setattr(actions_mod, "transition_feasible", counted)
-    world = WorldModel((0, 10), (0, 8), [Box((4, 5), (0, 8), (0.7, 1.9))], [])
-    walk, crawl = build_actions(["walk", "crawl"], profile, world)
-    trans = graph_checks([walk, crawl])["transition"].edge
-    standing, kneeling = Pose(2, 2, 0.5, 1.0), Pose(2, 2, 0.5, 0.3)
-    assert crawl.transition_from(standing) == kneeling
-    assert trans(standing, kneeling)
-    assert walk.transition_from(kneeling) == standing
-    assert trans(kneeling, standing)
-    assert calls == [(2.0, 2.0, 0.5)]
-    assert crawl.transition_from(Pose(4.5, 4, 0, 1.0)) is None  # under the bar
-    assert not trans(Pose(4.5, 4, 0, 1.0), Pose(4.5, 4, 0, 0.3))
-    assert len(calls) == 2
-    walk.clear_memos()
-    assert trans(standing, kneeling)
-    assert len(calls) == 3
 
 
 def test_jump_clears_the_memos_of_its_gaits(open_world, profile):

@@ -296,6 +296,30 @@ def test_find_path_checks_the_deadline_before_extracting_again(profile, monkeypa
     assert pl.stats.cycles == 1
 
 
+def test_a_timed_out_solve_stops_between_cycles(profile, monkeypatch):
+    """The deadline is checked where a cycle starts, not between actions, so
+    a clock that runs out while walk grows in cycle 3 still lets crawl grow."""
+    import posgraph.planner as planner_mod
+
+    clock = [0.0]
+    monkeypatch.setattr(planner_mod, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    wall = WorldModel((0, 10), (0, 8), [Box((4, 5), (0, 8), (0, 2.2))], [])
+    pl = make_planner(wall, profile, Pose(1, 1, 0, 1.0), Pose(9, 7, 0, 1.0), ["walk", "crawl"], t_max=10.0)
+    grow = pl.grow_holonomic
+
+    def grow_then_expire(action, target):
+        new_ids = grow(action, target)
+        if pl.stats.cycles == 3 and action.tag == TAG_WALK:
+            clock[0] = 100.0
+        return new_ids
+
+    monkeypatch.setattr(pl, "grow_holonomic", grow_then_expire)
+    assert pl.find_path() is None
+    assert pl.stats.cycles == 3
+    last = pl.events[pl.events.index("CYCLE 3") + 1 :]
+    assert [ev.split()[:2] for ev in last if ev.startswith("GROW")] == [["GROW", "walk"], ["GROW", "crawl"]]
+
+
 def test_confirm_path_does_not_regrade_an_indeterminate_edge(profile):
     world = WorldModel((0, 10), (0, 8), [], [])
     pl = make_planner(world, profile, Pose(1.6, 1, 0, 1.0), Pose(2.6, 1, 0, 1.0), ["walk"])

@@ -977,7 +977,7 @@ def test_robot_profile_apex_grid_validation():
             RobotProfile(apex_grid=bad)
 
 
-# -- the open-step accept and the floor early accept ---------------------------
+# -- the open-step accept and sampled floor support ----------------------------
 
 # the padded sweep volumes of walk and crawl (`GaitAction.sweep_volume`: r_walk
 # and the crawl rectangle grown by half of res) with the bodies they pad
@@ -1016,9 +1016,10 @@ def test_open_step_accept_implies_the_sampled_sweep_and_its_floor():
 
 
 def test_floor_early_accept_equals_the_per_sample_loop():
-    """`_floor_solid_batch` returns True at once when no gap is near and the
-    grown bounding box lies inside the bounds; the answer must be the one
-    `floor_solid` gives at every sample, near the bounds and gap edges too."""
+    """`_floor_solid_batch` must give the answer `floor_solid` gives at every
+    sample, near the bounds and gap edges too; the steps include many whose
+    samples, grown by the footprint's reach, lie inside the bounds with no gap
+    near, and many that some sample refuses."""
     rng = random.Random(2104)
     early = refused = 0
     footprints = KERNEL_FOOTPRINTS + tuple(vol.footprint for vol, _ in OPEN_STEP_VOLUMES)
