@@ -212,7 +212,7 @@ class GaitAction:
         if not self.sufficient_vertex(p0) or not self.sufficient_vertex(p1):
             return False
         n = sweep_steps(p0, p1, self.sufficient_volume, self.profile.res)
-        xs, ys, ths, _ = interpolate_poses(p0, p1, n)
+        xs, ys, ths = interpolate_poses(p0, p1, n)
         # looked up on the module: perfbench/tracer.py patches this name on world and confirm only
         if not world_mod._volume_clear_batch(xs, ys, ths, self.sweep_volume, self.world):
             return False

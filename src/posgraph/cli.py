@@ -1,7 +1,8 @@
 """Command line front end: solve one scenario, benchmark repeatedly, or
 render a world to SVG.
 
-Exit codes: 0 success, 1 bad input, 2 no path found within the time limit.
+Exit codes: 0 success, 1 bad input or an output file that cannot be written,
+2 no path found within the time limit.
 """
 from __future__ import annotations
 
@@ -258,11 +259,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PlannerInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BrokenPipeError:
         return EXIT_OK
+    # after BrokenPipeError, which is an OSError too
+    except (ValueError, PlannerInputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

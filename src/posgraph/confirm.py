@@ -167,7 +167,7 @@ class GaitConfirmJob:
         # which proves the continuous sweep clear; sampling the same line more
         # densely with the unpadded shapes therefore cannot refute that pass
         n = 2 * sweep_steps(p0, p1, volume, res)
-        self._xs, self._ys, self._ths, _ = interpolate_poses(p0, p1, n)
+        self._xs, self._ys, self._ths = interpolate_poses(p0, p1, n)
         fx: list[float] = []
         fy: list[float] = []
         seg = math.hypot(p1.x - p0.x, p1.y - p0.y)

@@ -5,17 +5,20 @@ Worlds are axis-aligned: box obstacles in 3D, rectangular floor gaps, and a
 solid floor at z = 0 everywhere else. Angled structures are expected to be
 approximated by staircases of boxes before they get here.
 
-Every collision query runs on one family of scalar pure-Python kernels over
-tuples of box bounds: a disc, an oriented rectangle or a sphere against a
-list of boxes. The obstacles of a z band are filtered once per world and
-cached. A single pose in `volume_clear` looks up the cell of a uniform grid
-(Ericson, Real-Time Collision Detection, 2004) that lists the band's boxes
-within the footprint's reach of the cell, and calls the kernel on that list
-only; cells are filled on first use, one grid per volume. A sampled sweep
-or arc first makes one broad-phase pass that keeps only the boxes
-overlapping the samples' bounding box, grown by the shape's reach, and then
-calls the same kernel per sample. `floor_solid` and `floor_point_solid`
-test every gap.
+Every collision and floor query runs on one family of scalar pure-Python
+kernels over tuples of box bounds, (xlo, xhi, ylo, yhi) in the plane and
+(xlo, xhi, ylo, yhi, zlo, zhi) for the sphere: a disc, an oriented rectangle
+or a sphere against a list of boxes. Obstacles and floor gaps are kept in
+that one form only; the rectangle kernel derives each box's centre and half
+extents as it tests it. The obstacles of a z band are filtered once per
+world and cached. A single pose in `volume_clear` looks up the cell of a
+uniform grid (Ericson, Real-Time Collision Detection, 2004) that lists the
+band's boxes within the footprint's reach of the cell, and calls the kernel
+on that list only; cells are filled on first use, one grid per volume. A
+sampled sweep or arc first makes one broad-phase pass (`_near`) that keeps
+only the boxes overlapping the samples' bounding box, grown by the shape's
+reach, and then calls the same kernel per sample. `floor_solid` and
+`floor_point_solid` test every gap.
 
 Early accepts settle a sampled test from its broad phase alone, and each
 returns what the per-sample loop would. The open-step accept (`sweep_open`)
@@ -145,9 +148,8 @@ class Box:
     z: tuple[float, float]
 
     def __post_init__(self):
-        for name, (lo, hi) in (("x", self.x), ("y", self.y), ("z", self.z)):
-            if not lo < hi:
-                raise ValueError(f"box {name} interval must be ascending, got {(lo, hi)}")
+        for name, interval in (("x", self.x), ("y", self.y), ("z", self.z)):
+            _check_interval(f"box {name}", interval)
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,17 @@ class GapRect:
     y: tuple[float, float]
 
     def __post_init__(self):
-        for name, (lo, hi) in (("x", self.x), ("y", self.y)):
-            if not lo < hi:
-                raise ValueError(f"gap {name} interval must be ascending, got {(lo, hi)}")
+        for name, interval in (("x", self.x), ("y", self.y)):
+            _check_interval(f"gap {name}", interval)
+
+
+def _check_interval(what: str, interval) -> None:
+    """Raises unless both ends of the interval are finite and ascending."""
+    lo, hi = interval
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{what} interval must be finite, got {interval}")
+    if not lo < hi:
+        raise ValueError(f"{what} interval must be ascending, got {interval}")
 
 
 @dataclass
@@ -229,22 +239,6 @@ def _apex_grid(grid) -> tuple[float, ...]:
     return tuple(float(a) for a in grid)
 
 
-def _aabb_rects(rows) -> tuple[tuple[float, float, float, float], ...]:
-    """(center x, center y, half x, half y) of each (xlo, xhi, ylo, yhi) box:
-    the form `_rect_hits_any` tests against."""
-    return tuple(
-        (0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * (x1 - x0), 0.5 * (y1 - y0)) for x0, x1, y0, y1 in rows
-    )
-
-
-@dataclass(frozen=True)
-class _Band:
-    """The obstacles whose z interval overlaps one volume's z band."""
-
-    boxes: tuple[tuple[float, float, float, float], ...]  # (xlo, xhi, ylo, yhi)
-    rects: tuple[tuple[float, float, float, float], ...]  # (cx, cy, half x, half y)
-
-
 @dataclass
 class WorldModel:
     """Bounded 2.5D world: rectangle bounds, box obstacles, floor gaps."""
@@ -254,13 +248,14 @@ class WorldModel:
     obstacles: tuple[Box, ...] = ()
     gaps: tuple[GapRect, ...] = ()
     _obs: tuple = field(init=False, repr=False, compare=False)  # (xlo, xhi, ylo, yhi, zlo, zhi) per box
-    _gap_boxes: tuple = field(init=False, repr=False, compare=False)
-    _gap_rects: tuple = field(init=False, repr=False, compare=False)
+    _gap_boxes: tuple = field(init=False, repr=False, compare=False)  # (xlo, xhi, ylo, yhi) per gap
     _bands: dict = field(init=False, repr=False, compare=False)
     _grids: dict = field(init=False, repr=False, compare=False)
     _ceiling: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.bounds_x, *self.bounds_y))):
+            raise ValueError(f"world bounds must be finite, got x {self.bounds_x} and y {self.bounds_y}")
         if not self.bounds_x[0] < self.bounds_x[1] or not self.bounds_y[0] < self.bounds_y[1]:
             raise ValueError("world bounds must be ascending intervals")
         self.obstacles = tuple(self.obstacles)
@@ -273,23 +268,22 @@ class WorldModel:
                 raise ValueError(f"gap {i} lies outside world bounds")
         self._obs = tuple(tuple(float(v) for v in (*b.x, *b.y, *b.z)) for b in self.obstacles)
         self._gap_boxes = tuple(tuple(float(v) for v in (*g.x, *g.y)) for g in self.gaps)
-        self._gap_rects = _aabb_rects(self._gap_boxes)
         self._bands = {}
         self._grids = {}
         self._ceiling = max(2.0, max((b.z[1] for b in self.obstacles), default=0.0))
 
-    def band(self, z_band: tuple[float, float]) -> _Band:
-        """Obstacles strictly overlapping the z band, filtered once per band."""
-        band = self._bands.get(z_band)
-        if band is None:
+    def band(self, z_band: tuple[float, float]) -> tuple:
+        """The (xlo, xhi, ylo, yhi) boxes of the obstacles strictly overlapping
+        the z band, filtered once per band."""
+        boxes = self._bands.get(z_band)
+        if boxes is None:
             zlo, zhi = z_band
-            boxes = tuple(o[:4] for o in self._obs if o[4] < zhi and o[5] > zlo)
-            band = self._bands[z_band] = _Band(boxes, _aabb_rects(boxes))
-        return band
+            boxes = self._bands[z_band] = tuple(o[:4] for o in self._obs if o[4] < zhi and o[5] > zlo)
+        return boxes
 
     def cell(self, vol: VolumeSpec, x: float, y: float) -> tuple:
-        """The band's obstacles, as boxes for a disc footprint and as rects for
-        a rectangle, that a placement of vol at (x, y) can touch, in band order.
+        """The (xlo, xhi, ylo, yhi) boxes of vol's band that a placement of vol
+        at (x, y) can touch, in band order, for either footprint.
 
         These are the boxes overlapping the grid cell holding (x, y), grown by
         the footprint's reach plus the 1e-6 that `_near` adds. The cell
@@ -302,15 +296,13 @@ class WorldModel:
             grid = self._grids[vol] = {}
         i = math.floor(x / GRID_CELL)
         j = math.floor(y / GRID_CELL)
-        items = grid.get((i, j))
-        if items is None:
-            band = self.band(vol.z_band)
-            fp = vol.footprint
-            shapes = band.boxes if isinstance(fp, DiscFootprint) else band.rects
+        boxes = grid.get((i, j))
+        if boxes is None:
             x0, y0 = i * GRID_CELL, j * GRID_CELL
-            near = _near(band.boxes, shapes, (x0, x0 + GRID_CELL), (y0, y0 + GRID_CELL), fp.max_radius + 1e-6)
-            items = grid[(i, j)] = tuple(near)
-        return items
+            reach = vol.footprint.max_radius + 1e-6
+            near = _near(self.band(vol.z_band), (x0, x0 + GRID_CELL), (y0, y0 + GRID_CELL), reach)
+            boxes = grid[(i, j)] = tuple(near)
+        return boxes
 
     @staticmethod
     def _interval_inside(inner: tuple[float, float], outer: tuple[float, float]) -> bool:
@@ -344,10 +336,10 @@ def _disc_hits_any(x, y, radius, boxes) -> bool:
     return False
 
 
-def _rect_hits_any(cx, cy, c, s, length, width, rects) -> bool:
+def _rect_hits_any(cx, cy, c, s, length, width, boxes) -> bool:
     """Strict-interior overlap of one rectangle, turned to cosine c and sine s,
-    with any box given as (cx, cy, half x, half y) from `_aabb_rects`: a
-    separating-axis test on the two world axes and the two rectangle axes."""
+    with any (xlo, xhi, ylo, yhi) box: a separating-axis test on the two world
+    axes and the two rectangle axes, over each box's centre and half extents."""
     hl = 0.5 * length
     hw = 0.5 * width
     ac = abs(c)
@@ -356,7 +348,8 @@ def _rect_hits_any(cx, cy, c, s, length, width, rects) -> bool:
     ey = as_ * hl + ac * hw
     cu = c * cx + s * cy
     cw = -s * cx + c * cy
-    for bcx, bcy, bhx, bhy in rects:
+    for x0, x1, y0, y1 in boxes:
+        bcx, bcy, bhx, bhy = 0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * (x1 - x0), 0.5 * (y1 - y0)
         if (
             abs(cx - bcx) < ex + bhx
             and abs(cy - bcy) < ey + bhy
@@ -379,16 +372,16 @@ def _sphere_hits_any(x, y, z, radius, boxes) -> bool:
     return False
 
 
-def _near(boxes, items, xs, ys, reach) -> list:
-    """Broad phase: the items whose box, (xlo, xhi, ylo, yhi, ...), overlaps
-    the samples' planar bounding box grown by `reach`. A shape that stays
-    within `reach` of its sample cannot meet any other box; callers add 1e-6
-    to the shape's reach to cover rounding in the narrow-phase tests."""
+def _near(boxes, xs, ys, reach) -> list:
+    """Broad phase: the (xlo, xhi, ylo, yhi, ...) boxes that overlap the
+    samples' planar bounding box grown by `reach`. A shape that stays within
+    `reach` of its sample cannot meet any other box; callers add 1e-6 to the
+    shape's reach to cover rounding in the narrow-phase tests."""
     xlo = min(xs) - reach
     xhi = max(xs) + reach
     ylo = min(ys) - reach
     yhi = max(ys) + reach
-    return [it for b, it in zip(boxes, items) if b[0] <= xhi and b[1] >= xlo and b[2] <= yhi and b[3] >= ylo]
+    return [b for b in boxes if b[0] <= xhi and b[1] >= xlo and b[2] <= yhi and b[3] >= ylo]
 
 
 def _rect_corner_tuples(cx, cy, c, s, length, width) -> tuple[tuple[float, float], ...]:
@@ -411,15 +404,14 @@ def _volume_clear_batch(xs, ys, thetas, vol: VolumeSpec, world: WorldModel) -> b
         return False
     if min(ys) < world.bounds_y[0] or max(ys) > world.bounds_y[1]:
         return False
-    band = world.band(vol.z_band)
     fp = vol.footprint
-    reach = fp.max_radius + 1e-6
+    boxes = _near(world.band(vol.z_band), xs, ys, fp.max_radius + 1e-6)
+    if not boxes:
+        return True
     if isinstance(fp, DiscFootprint):
-        boxes = _near(band.boxes, band.boxes, xs, ys, reach)
-        return not boxes or not any(_disc_hits_any(x, y, fp.radius, boxes) for x, y in zip(xs, ys))
-    rects = _near(band.boxes, band.rects, xs, ys, reach)
-    return not rects or not any(
-        _rect_hits_any(x, y, math.cos(th), math.sin(th), fp.length, fp.width, rects) for x, y, th in zip(xs, ys, thetas)
+        return not any(_disc_hits_any(x, y, fp.radius, boxes) for x, y in zip(xs, ys))
+    return not any(
+        _rect_hits_any(x, y, math.cos(th), math.sin(th), fp.length, fp.width, boxes) for x, y, th in zip(xs, ys, thetas)
     )
 
 
@@ -432,11 +424,11 @@ def volume_clear(pose: Pose, vol: VolumeSpec, world: WorldModel) -> bool:
     x, y = pose.x, pose.y
     if not world.contains(x, y):
         return False
-    items = world.cell(vol, x, y)
+    boxes = world.cell(vol, x, y)
     fp = vol.footprint
     if isinstance(fp, DiscFootprint):
-        return not _disc_hits_any(x, y, fp.radius, items)
-    return not _rect_hits_any(x, y, math.cos(pose.theta), math.sin(pose.theta), fp.length, fp.width, items)
+        return not _disc_hits_any(x, y, fp.radius, boxes)
+    return not _rect_hits_any(x, y, math.cos(pose.theta), math.sin(pose.theta), fp.length, fp.width, boxes)
 
 
 def sweep_steps(p0: Pose, p1: Pose, vol: VolumeSpec, res: float) -> int:
@@ -462,15 +454,15 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def interpolate_poses(p0: Pose, p1: Pose, n: int):
-    """(n+1)-sample linear interpolation with exact endpoints, as lists xs, ys,
-    thetas, hs; theta runs along the shortest arc."""
+    """(n+1)-sample planar interpolation with exact endpoints, as lists xs, ys,
+    thetas; theta runs along the shortest arc."""
     dth = normalize_angle(p1.theta - p0.theta)
     thetas = []
     for t in _linspace(0.0, 1.0, n + 1):
         # % lands ties at 0; push them to 2*pi so the result stays in (-pi, pi]
         r = (p0.theta + dth * t + math.pi) % TWO_PI
         thetas.append((r or TWO_PI) - math.pi)
-    return _linspace(p0.x, p1.x, n + 1), _linspace(p0.y, p1.y, n + 1), thetas, _linspace(p0.h, p1.h, n + 1)
+    return _linspace(p0.x, p1.x, n + 1), _linspace(p0.y, p1.y, n + 1), thetas
 
 
 def sweep_open(p0: Pose, p1: Pose, vol: VolumeSpec, world: WorldModel) -> bool:
@@ -485,7 +477,7 @@ def sweep_open(p0: Pose, p1: Pose, vol: VolumeSpec, world: WorldModel) -> bool:
     inside vol's.
     """
     reach = vol.footprint.max_radius + 1e-6
-    return _open_box(p0, p1, reach, world, world.band(vol.z_band).boxes, world._gap_boxes)
+    return _open_box(p0, p1, reach, world, world.band(vol.z_band), world._gap_boxes)
 
 
 def _open_box(p0: Pose, p1: Pose, reach: float, world: WorldModel, *box_lists) -> bool:
@@ -507,10 +499,10 @@ def _open_box(p0: Pose, p1: Pose, reach: float, world: WorldModel, *box_lists) -
 def swept_clear(p0: Pose, p1: Pose, vol: VolumeSpec, world: WorldModel, res: float) -> bool:
     """volume_clear along the straight interpolation from p0 to p1, endpoints
     included; True without sampling when no box of the band is near (`_open_box`)."""
-    if _open_box(p0, p1, vol.footprint.max_radius + 1e-6, world, world.band(vol.z_band).boxes):
+    if _open_box(p0, p1, vol.footprint.max_radius + 1e-6, world, world.band(vol.z_band)):
         return True
     n = sweep_steps(p0, p1, vol, res)
-    xs, ys, thetas, _ = interpolate_poses(p0, p1, n)
+    xs, ys, thetas = interpolate_poses(p0, p1, n)
     return _volume_clear_batch(xs, ys, thetas, vol, world)
 
 
@@ -591,18 +583,11 @@ def floor_solid(pose: Pose, footprint: Footprint, world: WorldModel) -> bool:
 
     Disc footprints ignore pose.theta and pose.h entirely.
     """
-    return _supported(pose.x, pose.y, pose.theta, footprint, world, _gap_shapes(footprint, world))
-
-
-def _gap_shapes(footprint: Footprint, world: WorldModel) -> tuple:
-    """The gaps in the one form the footprint's kernel tests: boxes for a
-    disc, rects for a rectangle."""
-    return world._gap_boxes if isinstance(footprint, DiscFootprint) else world._gap_rects
+    return _supported(pose.x, pose.y, pose.theta, footprint, world, world._gap_boxes)
 
 
 def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bool:
-    """`floor_solid` at one placement, against the given gaps in the form
-    `_gap_shapes` picks."""
+    """`floor_solid` at one placement, against the given (xlo, xhi, ylo, yhi) gaps."""
     if isinstance(footprint, DiscFootprint):
         r = footprint.radius
         if not (
@@ -627,7 +612,7 @@ def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bo
 
 def _floor_solid_batch(xs, ys, thetas, footprint: Footprint, world: WorldModel) -> bool:
     """`floor_solid` at every sample, against the gaps near the samples."""
-    gaps = _near(world._gap_boxes, _gap_shapes(footprint, world), xs, ys, footprint.max_radius + 1e-6)
+    gaps = _near(world._gap_boxes, xs, ys, footprint.max_radius + 1e-6)
     return all(_supported(x, y, th, footprint, world, gaps) for x, y, th in zip(xs, ys, thetas))
 
 
@@ -662,7 +647,7 @@ def parabola_clear(
 
 def _spheres_hit_boxes(xs, ys, zs, radius, obs) -> bool:
     """True if a sphere at any sample strictly penetrates any obstacle."""
-    near = _near(obs, obs, xs, ys, radius + 1e-6)
+    near = _near(obs, xs, ys, radius + 1e-6)
     return bool(near) and any(_sphere_hits_any(x, y, z, radius, near) for x, y, z in zip(xs, ys, zs))
 
 

@@ -112,9 +112,20 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     # a NaN theta or h got past every check and died in the search with
     # "error: cannot convert float NaN to integer"
     named = {
-        scenario_with("nan_theta", start={"x": 1, "y": 2, "theta": math.nan}): "start",
-        scenario_with("inf_h", goals=[{"x": 5, "y": 2}, {"x": 5, "y": 3, "h": math.inf}]): "goals[1]",
+        scenario_with("nan_theta", start={"x": 1, "y": 2, "theta": math.nan}): "error: start: ",
+        scenario_with("inf_h", goals=[{"x": 5, "y": 2}, {"x": 5, "y": 3, "h": math.inf}]): "error: goals[1]: ",
     }
+    # an infinite bound made show print Infinity and render write width="inf",
+    # and an infinite obstacle top failed the search on an infinite pose height
+    geometry = {
+        scenario_with("inf_bound", bounds={"x": [0, math.inf], "y": [0, 4]}): "error: world bounds must be finite",
+        scenario_with(
+            "inf_top", obstacles=[{"x": [2.8, 3.2], "y": [0, 3], "z": [0, math.inf]}]
+        ): "error: obstacles[0]: box z interval must be finite",
+        scenario_with("nan_gap", gaps=[{"x": [4.0, math.nan], "y": [0, 4]}]): "error: gaps[0]: gap x interval must be finite",
+    }
+    named.update(geometry)
+    svg = tmp_path / "world.svg"
     cases = [
         ["solve", "--scenario", str(bad)],
         ["solve", "--scenario", str(tmp_path / "missing.json")],
@@ -127,12 +138,40 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         ["bench", "--builtin", "three_routes_a", "--trials", "0"],
         ["bench", "--builtin", "three_routes_a", "--trials", "-3"],
     ] + [["solve", "--scenario", path] for path in named]
+    for path in geometry:
+        cases += [["show", "--scenario", path], ["render", "--out", str(svg), "--scenario", path]]
     for argv in cases:
         assert main(argv) == EXIT_INPUT, argv
         out, err = capsys.readouterr()
-        assert "error:" in err and "nan" not in out, argv
+        assert "error:" in err and "nan" not in out and "Traceback" not in err, argv
         if argv[-1] in named:
-            assert f"error: {named[argv[-1]]}: " in err, err
+            assert named[argv[-1]] in err, err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--dump", "{}"],
+        ["solve", "--out", "{}"],
+        ["solve", "--log", "{}"],
+        ["solve", "--svg", "{}"],
+        ["bench", "--trials", "1", "--csv", "{}"],
+        ["render", "--out", "{}"],
+    ],
+    ids=["solve-dump", "solve-out", "solve-log", "solve-svg", "bench-csv", "render-out"],
+)
+def test_unwritable_output_exits_one_without_traceback(tmp_path, capsys, argv):
+    # the solve ran to the end and then died with a FileNotFoundError traceback
+    scn = small_scenario_file(tmp_path)
+    target = tmp_path / "missing" / "artifact"
+    argv = [a.format(target) for a in argv] + ["--scenario", str(scn)]
+    if argv[0] != "render":
+        argv += ["--time-limit", "30"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
 
 
 def test_show_round_trips(tmp_path, capsys):

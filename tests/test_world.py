@@ -213,7 +213,7 @@ def test_disc_near_box_face_worked_example():
 def test_disc_box_fuzz_against_oracle():
     rng = random.Random(11)
     box = Box((2.0, 3.0), (2.0, 3.5), (0.0, 1.0))
-    boxes = WorldModel((0, 5), (0, 5), (box,), ()).band((0.2, 0.8)).boxes
+    boxes = WorldModel((0, 5), (0, 5), (box,), ()).band((0.2, 0.8))
     checked = 0
     for _ in range(300):
         cx = rng.uniform(1.0, 4.0)
@@ -231,28 +231,28 @@ def test_disc_box_fuzz_against_oracle():
 
 def test_disc_z_band_disjoint_never_hits():
     world = WorldModel((0, 2), (0, 2), (Box((0.0, 1.0), (0.0, 1.0), (0.0, 0.6)),), ())
-    assert not _disc_hits_any(0.5, 0.5, 0.3, world.band((0.7, 1.5)).boxes)
+    assert not _disc_hits_any(0.5, 0.5, 0.3, world.band((0.7, 1.5)))
     # touching bands do not overlap
-    assert not _disc_hits_any(0.5, 0.5, 0.3, world.band((0.6, 1.5)).boxes)
-    assert _disc_hits_any(0.5, 0.5, 0.3, world.band((0.59, 1.5)).boxes)
+    assert not _disc_hits_any(0.5, 0.5, 0.3, world.band((0.6, 1.5)))
+    assert _disc_hits_any(0.5, 0.5, 0.3, world.band((0.59, 1.5)))
 
 
 def test_rect_box_fuzz_against_oracle():
     rng = random.Random(21)
     box = Box((2.0, 3.2), (1.5, 2.4), (0.0, 1.0))
-    rects = WorldModel((0, 5), (0, 4), (box,), ()).band((0.0, 1.0)).rects
+    boxes = WorldModel((0, 5), (0, 4), (box,), ()).band((0.0, 1.0))
     checked = 0
     for _ in range(150):
         cx = rng.uniform(1.0, 4.2)
         cy = rng.uniform(0.5, 3.4)
         th = rng.uniform(-math.pi, math.pi)
-        got = _rect_hits_any(cx, cy, math.cos(th), math.sin(th), 0.9, 0.5, rects)
+        got = _rect_hits_any(cx, cy, math.cos(th), math.sin(th), 0.9, 0.5, boxes)
         want = rect_hits_box_oracle(cx, cy, th, 0.9, 0.5, box)
         if got != want:
             # only tolerable when the configuration is within sampling slop
             # of the boundary; re-test with a slightly grown/shrunk rect
-            grown = _rect_hits_any(cx, cy, math.cos(th), math.sin(th), 0.91, 0.51, rects)
-            shrunk = _rect_hits_any(cx, cy, math.cos(th), math.sin(th), 0.89, 0.49, rects)
+            grown = _rect_hits_any(cx, cy, math.cos(th), math.sin(th), 0.91, 0.51, boxes)
+            shrunk = _rect_hits_any(cx, cy, math.cos(th), math.sin(th), 0.89, 0.49, boxes)
             assert grown != shrunk, (cx, cy, th)
             continue
         checked += 1
@@ -357,6 +357,24 @@ def test_box_requires_ascending_ranges():
         Box((0, 1), (0, 1), (2, 1))
 
 
+def test_world_geometry_must_be_finite():
+    # an infinite obstacle top made the ceiling, and so sampled heights, infinite
+    cases = [
+        (lambda: Box((0, 1), (0, 1), (0, math.inf)), "box z interval must be finite"),
+        (lambda: Box((-math.inf, 1), (0, 1), (0, 1)), "box x interval must be finite"),
+        (lambda: Box((0, 1), (0, math.nan), (0, 1)), "box y interval must be finite"),
+        (lambda: GapRect((0, math.inf), (0, 1)), "gap x interval must be finite"),
+        (lambda: GapRect((0, 1), (math.nan, 1)), "gap y interval must be finite"),
+        (lambda: WorldModel((0, 1e400), (0, 5), (), ()), "world bounds must be finite"),
+        (lambda: WorldModel((0, 5), (math.nan, 5), (), ()), "world bounds must be finite"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=message):
+            make()
+    # large finite geometry stays valid
+    assert WorldModel((0, 1e308), (0, 5), (Box((0, 1), (0, 1), (0, 1e300)),), ()).ceiling == 1e300
+
+
 def test_ceiling_property():
     w = WorldModel((0, 5), (0, 5), (), ())
     assert w.ceiling == 2.0
@@ -390,10 +408,10 @@ def test_sweep_steps_formula():
 def test_interpolate_poses_endpoints_and_shortest_arc():
     p0 = Pose(1, 2, 3.0, 1.0)
     p1 = Pose(2, 1, -3.0, 0.3)
-    xs, ys, ths, hs = interpolate_poses(p0, p1, 10)
-    assert len(xs) == 11
-    assert (xs[0], ys[0], hs[0]) == (1, 2, 1.0)
-    assert (xs[-1], ys[-1], hs[-1]) == (2, 1, 0.3)
+    xs, ys, ths = interpolate_poses(p0, p1, 10)
+    assert len(xs) == len(ys) == len(ths) == 11
+    assert (xs[0], ys[0]) == (1, 2)
+    assert (xs[-1], ys[-1]) == (2, 1)
     assert ths[0] == pytest.approx(3.0)
     assert abs(abs(ths[5]) - math.pi) < 0.2  # midpoint crosses the pi seam
     assert math.cos(ths[-1]) == pytest.approx(math.cos(-3.0))
@@ -756,7 +774,7 @@ def test_interpolate_poses_matches_numpy_bit_for_bit():
     for _ in range(500):
         p0, p1 = (Pose(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-7, 7), rng.uniform(0, 2)) for _ in "ab")
         n = rng.randint(1, 60)
-        xs, ys, ths, _ = interpolate_poses(p0, p1, n)
+        xs, ys, ths = interpolate_poses(p0, p1, n)
         for got, want in zip((xs, ys, ths), reference_interpolate(p0, p1, n)):
             assert _bits(got) == _bits(want), (p0, p1, n)
 
@@ -829,12 +847,12 @@ def _band_volume_clear(pose, vol, world):
     """volume_clear with the all-boxes kernel over the volume's whole z band."""
     if not world.contains(pose.x, pose.y):
         return False
-    band = world.band(vol.z_band)
+    boxes = world.band(vol.z_band)
     fp = vol.footprint
     if isinstance(fp, DiscFootprint):
-        return not _disc_hits_any(pose.x, pose.y, fp.radius, band.boxes)
+        return not _disc_hits_any(pose.x, pose.y, fp.radius, boxes)
     c, s = math.cos(pose.theta), math.sin(pose.theta)
-    return not _rect_hits_any(pose.x, pose.y, c, s, fp.length, fp.width, band.rects)
+    return not _rect_hits_any(pose.x, pose.y, c, s, fp.length, fp.width, boxes)
 
 
 def _straddling_world(rng, origin, span):
@@ -936,7 +954,7 @@ def test_grid_hands_hallway_few_boxes(monkeypatch):
         monkeypatch.setattr(world_mod, name, lambda *a, k=kernel: handed.append(len(a[-1])) or k(*a))
     world = builtin_scenario("hallway").world
     vols = (VolumeSpec(DiscFootprint(0.05), (0.05, 1.5)), VolumeSpec(DiscFootprint(0.25), (0.0, 1.6)), VolumeSpec(RectFootprint(0.9, 0.5), (0.0, 1.6)))
-    assert all(len(world.band(v.z_band).boxes) == 160 for v in vols)
+    assert all(len(world.band(v.z_band)) == 160 for v in vols)
     poses = [Pose(0.05 * i, 0.05 * j, 0.1 * i, 1.0) for i in range(241) for j in range(81)]
     for vol in vols:
         for p in poses:
@@ -1005,7 +1023,7 @@ def test_open_step_accept_implies_the_sampled_sweep_and_its_floor():
                 opened += 1
                 # sampled as the padded volume needs, and as `sufficient_edge` does
                 for n in {sweep_steps(p0, p1, vol, 0.05), sweep_steps(p0, p1, body_vol, 0.05)}:
-                    xs, ys, ths, _ = interpolate_poses(p0, p1, n)
+                    xs, ys, ths = interpolate_poses(p0, p1, n)
                     assert _volume_clear_batch(xs, ys, ths, vol, world), (p0, p1, vol)
                     assert reference_volume_clear_batch(xs, ys, ths, vol, world), (p0, p1, vol)
                     assert _floor_solid_batch(xs, ys, ths, vol.footprint, world), (p0, p1, vol)
@@ -1030,7 +1048,7 @@ def test_floor_early_accept_equals_the_per_sample_loop():
             for _ in range(300):
                 p0 = near_edge_pose(rng, world, lines, 1.0)
                 p1 = step_from(rng, p0, rng.choice((0.0, 0.3, rng.uniform(0.0, 2.0))), 1.0)
-                xs, ys, ths, _ = interpolate_poses(p0, p1, sweep_steps(p0, p1, vol, 0.05))
+                xs, ys, ths = interpolate_poses(p0, p1, sweep_steps(p0, p1, vol, 0.05))
                 want = all(floor_solid(Pose(x, y, th, 0.0), fp, world) for x, y, th in zip(xs, ys, ths))
                 assert _floor_solid_batch(xs, ys, ths, fp, world) == want, (p0, p1, fp)
                 xlo, xhi, ylo, yhi = min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach
