@@ -46,7 +46,7 @@ def _pair(value, where: str) -> tuple[float, float]:
         raise ValueError(f"{where} must be a two-number list")
     try:
         return float(value[0]), float(value[1])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where} must be a two-number list") from None
 
 
@@ -65,7 +65,7 @@ def _parse_pose(value, where: str, default_h: float) -> Pose:
             float(value.get("theta", 0.0)),
             float(value.get("h", default_h)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -98,7 +98,7 @@ def parse_scenario(data: dict, name: str = "custom") -> Scenario:
             k: tuple(v) if isinstance(v, list) else v for k, v in prof_data.items()
         }
         profile = RobotProfile(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"profile: {exc}") from None
 
     obstacles = []

@@ -114,6 +114,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     named = {
         scenario_with("nan_theta", start={"x": 1, "y": 2, "theta": math.nan}): "error: start: ",
         scenario_with("inf_h", goals=[{"x": 5, "y": 2}, {"x": 5, "y": 3, "h": math.inf}]): "error: goals[1]: ",
+        scenario_with("huge_x", start={"x": 10**400, "y": 2}): "error: start: int too large to convert to float",
+        scenario_with("huge_profile", profile={"h_walk": 10**400}): "error: profile: int too large to convert to float",
     }
     # an infinite bound made show print Infinity and render write width="inf",
     # and an infinite obstacle top failed the search on an infinite pose height
@@ -123,6 +125,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
             "inf_top", obstacles=[{"x": [2.8, 3.2], "y": [0, 3], "z": [0, math.inf]}]
         ): "error: obstacles[0]: box z interval must be finite",
         scenario_with("nan_gap", gaps=[{"x": [4.0, math.nan], "y": [0, 4]}]): "error: gaps[0]: gap x interval must be finite",
+        # a JSON integer beyond float range died in float() with an OverflowError traceback
+        scenario_with("huge_bound", bounds={"x": [0, 10**400], "y": [0, 4]}): "error: bounds.x must be a two-number list",
+        scenario_with(
+            "huge_top", obstacles=[{"x": [2.8, 3.2], "y": [0, 3], "z": [0, 10**400]}]
+        ): "error: obstacles[0]: obstacles[0].z must be a two-number list",
     }
     named.update(geometry)
     svg = tmp_path / "world.svg"

@@ -2,23 +2,24 @@
 
 Run from anywhere, with the `src` directories of the two trees to compare:
 
-    python3 tools/paired_timing.py BASE/src CHANGE/src --seeds 40 --reps 8
+    python3 tools/paired_timing.py BASE/src CHANGE/src --reps 8
 
 Each tree's `posgraph` package is copied into a temporary directory under a
 name of its own, so both load in one process and their relative imports
-keep working. A repetition solves the five builtins at seeds 0 to
-`--seeds` - 1 with both packages, back to back per problem; the side that
-goes first alternates from problem to problem, and the whole order is
-reversed on odd repetitions, so drift in CPU speed falls on both sides
-alike. A solve is timed from building the planner to the return of
-`find_path`.
+keep working. A repetition solves the five builtins at seeds 0 to 39 with
+both packages, back to back per problem; the side that goes first
+alternates from problem to problem, and the whole order is reversed on odd
+repetitions, so drift in CPU speed falls on both sides alike. A solve is timed from building the planner to the return of
+`find_path`, under a time limit no builtin solve comes near, so both sides
+always do the whole search.
 
 Every solve is hashed (graph dump, event log and `describe_path` JSON). The
 run exits 1 at the end of the first repetition whose combined SHA-256
 differs between the two sides, or from a side's own first repetition: a
-timing of two programs that do not do the same work means nothing. Otherwise it prints, per repetition, the
-summed solve time of each side and their ratio (change over base), and at
-the end the median ratio and in how many repetitions the change was faster.
+timing of two programs that do not do the same work means nothing.
+Otherwise it prints, per repetition, the summed solve time of each side and
+their ratio (change over base), and at the end the median ratio and in how
+many repetitions the change was faster.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ import time
 from pathlib import Path
 
 SIDES = ("base", "change")
+SEEDS = 40
+T_MAX = 60.0
 
 
 def load(src: Path, name: str, tmp: Path):
@@ -45,11 +48,11 @@ def load(src: Path, name: str, tmp: Path):
     return importlib.import_module(name)
 
 
-def solve(pg, name: str, seed: int, t_max: float) -> tuple[float, bytes, int]:
+def solve(pg, name: str, seed: int) -> tuple[float, bytes, int]:
     """One builtin solve: its time in seconds, its digest and its cycle count."""
     sc = pg.builtin_scenario(name)
     t0 = time.perf_counter()
-    planner = pg.Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, pg.PlannerConfig(t_max=t_max, seed=seed))
+    planner = pg.Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, pg.PlannerConfig(t_max=T_MAX, seed=seed))
     path = planner.find_path()
     elapsed = time.perf_counter() - t0
     h = hashlib.sha256()
@@ -64,17 +67,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="src directory of the base tree")
     ap.add_argument("change", type=Path, help="src directory of the changed tree")
-    ap.add_argument("--seeds", type=int, default=40, help="solve seeds 0 to SEEDS - 1 (default 40)")
     ap.add_argument("--reps", type=int, default=8, help="repetitions of the whole panel (default 8)")
-    ap.add_argument("--t-max", type=float, default=60.0, help="time limit of one solve, seconds (default 60)")
     args = ap.parse_args(argv)
-    if args.seeds < 1 or args.reps < 1:
-        ap.error("--seeds and --reps must be >= 1")
+    if args.reps < 1:
+        ap.error("--reps must be >= 1")
 
     with tempfile.TemporaryDirectory(prefix="paired_timing_") as tmp:
         sys.path.insert(0, tmp)
         pkgs = [load(src.resolve(), f"posgraph_{side}", Path(tmp)) for src, side in zip((args.base, args.change), SIDES)]
-        problems = [(name, seed) for seed in range(args.seeds) for name in pkgs[0].BUILTIN_NAMES]
+        problems = [(name, seed) for seed in range(SEEDS) for name in pkgs[0].BUILTIN_NAMES]
         first_digests = None
         ratios = []
         for rep in range(args.reps):
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
             for k, (name, seed) in enumerate(problems):
                 order = (0, 1) if (k + rep) % 2 == 0 else (1, 0)
                 for side in order:
-                    elapsed, digest, n = solve(pkgs[side], name, seed, args.t_max)
+                    elapsed, digest, n = solve(pkgs[side], name, seed)
                     totals[side] += elapsed
                     hashes[side].update(digest)
                     cycles[side] += n
