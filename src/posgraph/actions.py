@@ -46,13 +46,11 @@ class TransitionQueue:
 
     def __init__(self):
         self._items: list[int] = []
-        self._seen = bytearray()  # one flag per vertex id
+        self._seen: set[int] = set()
 
     def add(self, vid: int):
-        if vid >= len(self._seen):
-            self._seen.extend(bytes(vid + 1 - len(self._seen)))
-        if not self._seen[vid]:
-            self._seen[vid] = 1
+        if vid not in self._seen:
+            self._seen.add(vid)
             self._items.append(vid)
 
     def pop_random(self, rng: random.Random) -> int:
@@ -95,30 +93,29 @@ class GaitAction:
         self.world = world
         self.queue = TransitionQueue()
         p = profile
+        # edge sweeps sample every <= res along the motion; padding the swept
+        # shapes by half that spacing (m) turns a sampled pass into a proof for
+        # the continuous sweep, so no finer re-check can contradict it
+        m = 0.5 * p.res
         if tag == TAG_WALK:
             self.nominal_h = p.h_walk
             self.band_half = p.delta_walk
             top = p.body_top_walk
             self.sufficient_footprint = DiscFootprint(p.r_walk)
+            self.sweep_footprint = DiscFootprint(p.r_walk + m)
+            self._foothold_offset = 0.5 * p.r_walk
         else:
             self.nominal_h = p.h_crawl
             self.band_half = p.delta_crawl
             top = p.body_top_crawl
             self.sufficient_footprint = RectFootprint(p.crawl_len, p.crawl_wid)
+            self.sweep_footprint = RectFootprint(p.crawl_len + 2.0 * m, p.crawl_wid + 2.0 * m)
+            self._foothold_offset = 0.25 * p.crawl_wid
         # thin probe used by the necessary condition: a sliver of the body
         # column, pulled in from the floor and crown so marginal poses stay lax
         self.necessary_volume = VolumeSpec(DiscFootprint(p.r_necessary), (0.05, top - 0.1))
         self.sufficient_volume = VolumeSpec(self.sufficient_footprint, (0.0, top))
-        # edge sweeps sample every <= res along the motion; padding the swept
-        # shapes by half that spacing turns a sampled pass into a proof for the
-        # continuous sweep, so no finer re-check can contradict it
-        m = 0.5 * p.res
-        if tag == TAG_WALK:
-            sweep_fp = DiscFootprint(p.r_walk + m)
-        else:
-            sweep_fp = RectFootprint(p.crawl_len + 2.0 * m, p.crawl_wid + 2.0 * m)
-        self.sweep_footprint = sweep_fp
-        self.sweep_volume = VolumeSpec(sweep_fp, (0.0, top))
+        self.sweep_volume = VolumeSpec(self.sweep_footprint, (0.0, top))
         self._necessary_vertex_memo: dict[Pose, bool] = {}
         self._sufficient_vertex_memo: dict[Pose, bool] = {}
         self._necessary_edge_memo: dict[tuple[Pose, Pose], bool] = {}
@@ -263,15 +260,11 @@ class GaitAction:
         return cand
 
     def spawn_confirmation_job(self, snapshot: confirm.EdgeSnapshot) -> confirm.GaitConfirmJob:
-        if isinstance(self.sufficient_footprint, DiscFootprint):
-            lateral = 0.5 * self.sufficient_footprint.radius
-        else:
-            lateral = 0.25 * self.sufficient_footprint.width
         return confirm.GaitConfirmJob(
             snapshot,
             volume=self.sufficient_volume,
             stride=self.profile.stride,
-            lateral_offset=lateral,
+            lateral_offset=self._foothold_offset,
             res=self.profile.res,
         )
 

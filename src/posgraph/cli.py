@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .planner import Planner, PlannerConfig, PlannerInputError
+from .planner import Planner, PlannerConfig
 from .render import render_svg
-from .scenarios import BUILTIN_NAMES, Scenario, builtin_scenario, emit_scenario, scenario_from_json
+from .scenarios import BUILTIN_NAMES, Scenario, builtin_scenario, emit_scenario, parse_actions, scenario_from_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -53,11 +54,22 @@ def _load_scenario(args) -> Scenario:
             raise ValueError(f"cannot read scenario file: {exc}") from None
         sc = scenario_from_json(text)
     if args.actions:
-        names = tuple(a.strip() for a in args.actions.split(",") if a.strip())
-        if not names:
-            raise ValueError("--actions must name at least one action")
-        sc = Scenario(sc.name, sc.world, sc.profile, sc.start, sc.goals, names)
+        sc = replace(sc, actions=parse_actions([a.strip() for a in args.actions.split(",") if a.strip()]))
     return sc
+
+
+def _check_outputs(args, flags: tuple[str, ...]):
+    """Raises unless each path given for these flags is in an existing
+    directory and is not one, so a mistyped path fails before the search."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"--{flag} {path}: directory {parent} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"--{flag} {path}: is a directory")
 
 
 def _make_planner(sc: Scenario, args) -> Planner:
@@ -66,6 +78,7 @@ def _make_planner(sc: Scenario, args) -> Planner:
 
 
 def cmd_solve(args) -> int:
+    _check_outputs(args, ("out", "dump", "log", "svg"))
     sc = _load_scenario(args)
     planner = _make_planner(sc, args)
     path = planner.find_path()
@@ -173,6 +186,7 @@ def run_benchmark(
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    _check_outputs(args, ("csv",))
     sc = _load_scenario(args)
     result = run_benchmark(sc, args.trials, args.seed, args.time_limit)
     times = result.solved_times()
@@ -262,7 +276,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return EXIT_OK
     # after BrokenPipeError, which is an OSError too
-    except (ValueError, PlannerInputError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

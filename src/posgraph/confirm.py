@@ -237,10 +237,10 @@ confirm_gait_edge = confirm_jump_edge = run_to_verdict
 class ConfirmationQueue:
     """FIFO of jobs plus a verdict outbox.
 
-    step() gives jobs one step(world) call each on the calling thread, in
-    submit order, and sends a job that returns no verdict to the back of the
-    line: with k jobs pending, none waits more than k job steps for its next
-    turn. Given the submit order, the schedule is deterministic.
+    Each step() call gives the job at the head of the line one step(world)
+    call on the calling thread, and sends a job that returns no verdict to
+    the back of the line: with k jobs pending, none waits more than k steps
+    for its next turn. Given the submit order, the schedule is deterministic.
 
     A job that raises makes step() raise a ConfirmationError naming its edge.
     """
@@ -260,23 +260,23 @@ class ConfirmationQueue:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def step(self, max_steps: int) -> int:
-        """Give up to max_steps jobs one step each; returns how many ran."""
-        ran = 0
-        while ran < max_steps and self._pending:
-            job = self._pending.popleft()
-            try:
-                verdict = job.step(self.world)
-            except Exception as exc:
-                raise ConfirmationError(
-                    f"confirmation job {job.job_id} for {job.edge.tag} edge {job.edge.edge_id} raised {exc!r}"
-                ) from exc
-            if verdict is None:
-                self._pending.append(job)
-            else:
-                self._verdicts.append(verdict)
-            ran += 1
-        return ran
+    def step(self) -> int:
+        """Give the job at the head of the line one step; returns how many
+        jobs ran, 1, or 0 when none is pending."""
+        if not self._pending:
+            return 0
+        job = self._pending.popleft()
+        try:
+            verdict = job.step(self.world)
+        except Exception as exc:
+            raise ConfirmationError(
+                f"confirmation job {job.job_id} for {job.edge.tag} edge {job.edge.edge_id} raised {exc!r}"
+            ) from exc
+        if verdict is None:
+            self._pending.append(job)
+        else:
+            self._verdicts.append(verdict)
+        return 1
 
     def drain_verdicts(self) -> list[Verdict]:
         """Collect and clear the verdicts so far."""

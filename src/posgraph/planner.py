@@ -120,7 +120,6 @@ class Planner:
         self.events: list[str] = []
         # per vertex id: whether a jump seeded at that vertex can cross a gap
         self._near_gap: dict[int, bool] = {}
-        self._gait_tags = [a.tag for a in self.actions if isinstance(a, GaitAction)]
         # connect lays at most one world diagonal of gait steps, plus slack
         diagonal = math.hypot(world.bounds_x[1] - world.bounds_x[0], world.bounds_y[1] - world.bounds_y[0])
         steps = diagonal / STEP
@@ -170,18 +169,16 @@ class Planner:
         cap = min(MAX_TRANSITIONS_PER_CYCLE, len(action.queue))
         for _ in range(cap):
             vid = action.queue.pop_random(self.rng)
-            v = self.graph.vertices.get(vid)
-            if v is None:
+            pose = self.graph.vertices[vid].pose
+            # a vertex on this manifold passed this check when it was
+            # inserted, so every destination below is a vertex other than vid
+            if action.necessary_vertex(pose):
                 continue
-            if action.necessary_vertex(v.pose):
-                continue  # already on this manifold; nothing to transition
-            cand = action.transition_from(v.pose)
+            cand = action.transition_from(pose)
             if cand is None:
                 continue
             before = self.graph._next_vid
             dest = self.graph.insert_vertex(cand, action.tag)
-            if dest == vid:
-                continue
             if not self.graph.insert_edge(vid, dest, TAG_TRANSITION, EdgeStatus.SUFFICIENT):
                 continue
             if dest >= before:
@@ -290,12 +287,12 @@ class Planner:
                 if bit:
                     cands.append(vid)
         cands.sort(key=lambda vid: (pose_distance(g.vertices[vid].pose, target), vid))
-        useful = {vid: True for vid in cands}
+        masked: set[int] = set()
         # snapshots: the live reach sets grow as this loop inserts edges
         start_set, goal_set = frozenset(g.start_reachable_set()), frozenset(g.goal_reaching_set())
         new_ids: list[int] = []
         for vid in cands:
-            if not useful.get(vid, False):
+            if vid in masked:
                 continue
             v = g.vertices[vid]
             # the near end sits at vid, on vid's manifold; the far end is
@@ -333,8 +330,7 @@ class Planner:
                 self._snap_link(far_id)
             # mask what lies behind the near end: the vertices that reach the
             # launch, or that the landing reaches
-            for u in g._bfs([near_id], g._in if launching else g._out, not launching):
-                useful[u] = False
+            masked |= g._bfs([near_id], g._in if launching else g._out, not launching)
         return new_ids
 
     def _snap_link(self, vid: int):
@@ -400,7 +396,7 @@ class Planner:
             action = self.actions_by_tag[e.tag]
             self.queue.submit(action.spawn_confirmation_job(EdgeSnapshot.of_edge(g, e)))
             self.stats.jobs_spawned += 1
-            self.queue.step(1)
+            self.queue.step()
             (verdict,) = self.queue.drain_verdicts()
             if not self._settle(verdict):
                 return False

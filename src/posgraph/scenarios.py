@@ -23,6 +23,9 @@ DEFAULT_ACTIONS = ("walk", "crawl", "jump")
 
 BAR_Z = (0.7, 1.9)
 WALL_Z = (0.0, 2.2)
+# x extent of a slanted bar, and the y extent of each of its segments
+STAIR_DEPTH = 0.4
+STAIR_GRANULARITY = 0.1
 
 
 @dataclass(frozen=True)
@@ -123,10 +126,7 @@ def parse_scenario(data: dict, name: str = "custom") -> Scenario:
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 
-    try:
-        world = WorldModel(bx, by, tuple(obstacles), tuple(gaps))
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
+    world = WorldModel(bx, by, tuple(obstacles), tuple(gaps))
 
     start = _parse_pose(data["start"], "start", profile.h_walk)
     goals_data = data["goals"]
@@ -134,21 +134,25 @@ def parse_scenario(data: dict, name: str = "custom") -> Scenario:
         raise ValueError("goals must be a non-empty list")
     goals = tuple(_parse_pose(g, f"goals[{i}]", profile.h_walk) for i, g in enumerate(goals_data))
 
-    actions = data.get("actions", list(DEFAULT_ACTIONS))
-    if not isinstance(actions, list) or not actions:
-        raise ValueError("actions must be a non-empty list")
-    for a in actions:
-        if a not in DEFAULT_ACTIONS:
-            raise ValueError(f"unknown action name: {a!r}")
-
     return Scenario(
         name=str(data.get("name", name)),
         world=world,
         profile=profile,
         start=start,
         goals=goals,
-        actions=tuple(dict.fromkeys(actions)),
+        actions=parse_actions(data.get("actions", list(DEFAULT_ACTIONS))),
     )
+
+
+def parse_actions(actions) -> tuple[str, ...]:
+    """The action names of a non-empty list, in first-seen order without
+    repeats; raises on any name that is not an action."""
+    if not isinstance(actions, list) or not actions:
+        raise ValueError("actions must be a non-empty list")
+    for a in actions:
+        if a not in DEFAULT_ACTIONS:
+            raise ValueError(f"unknown action name: {a!r}")
+    return tuple(dict.fromkeys(actions))
 
 
 def emit_scenario(s: Scenario) -> dict:
@@ -193,25 +197,18 @@ def _wall(x0: float, x1: float, y0: float, y1: float) -> Box:
     return Box((x0, x1), (y0, y1), WALL_Z)
 
 
-def staircase_bar(
-    base_x: float,
-    slope: float,
-    y0: float,
-    y1: float,
-    depth: float = 0.4,
-    granularity: float = 0.1,
-) -> list[Box]:
+def staircase_bar(base_x: float, slope: float, y0: float, y1: float) -> list[Box]:
     """A low bar crossing the floor at a slight angle, approximated by
-    axis-aligned segments one granularity step wide."""
+    axis-aligned segments about STAIR_GRANULARITY wide."""
     if not -math.tan(math.radians(15.0)) <= slope <= math.tan(math.radians(15.0)):
         raise ValueError("staircase slope must stay shallow")
     boxes = []
-    n = max(1, round((y1 - y0) / granularity))
+    n = max(1, round((y1 - y0) / STAIR_GRANULARITY))
     for i in range(n):
         ya = y0 + (y1 - y0) * i / n
         yb = y0 + (y1 - y0) * (i + 1) / n
         cx = base_x + slope * (ya - y0)
-        boxes.append(_bar(cx - depth / 2, cx + depth / 2, ya, yb))
+        boxes.append(_bar(cx - STAIR_DEPTH / 2, cx + STAIR_DEPTH / 2, ya, yb))
     return boxes
 
 

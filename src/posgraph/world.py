@@ -27,8 +27,8 @@ the 1e-6 that `_near` adds; when that box lies inside the bounds and meets no
 box of the band and no gap, every sample of the sweep between the poses is
 clear and supported, so the sweep is never interpolated. `swept_clear` makes
 the same test, gaps aside, before it samples. Floor support of a sampled
-sweep (`_floor_solid_batch`) tests every sample against the gaps near the
-samples.
+sweep (`_floor_solid_batch`) tests every sample against every gap: worlds
+hold a few gaps, and a broad phase over them measured as no faster.
 """
 from __future__ import annotations
 
@@ -583,11 +583,11 @@ def floor_solid(pose: Pose, footprint: Footprint, world: WorldModel) -> bool:
 
     Disc footprints ignore pose.theta and pose.h entirely.
     """
-    return _supported(pose.x, pose.y, pose.theta, footprint, world, world._gap_boxes)
+    return _supported(pose.x, pose.y, pose.theta, footprint, world)
 
 
-def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bool:
-    """`floor_solid` at one placement, against the given (xlo, xhi, ylo, yhi) gaps."""
+def _supported(x, y, theta, footprint: Footprint, world: WorldModel) -> bool:
+    """`floor_solid` at one placement."""
     if isinstance(footprint, DiscFootprint):
         r = footprint.radius
         if not (
@@ -597,7 +597,7 @@ def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bo
             and y + r <= world.bounds_y[1] + 1e-12
         ):
             return False
-        return not _disc_hits_any(x, y, r, gaps)
+        return not _disc_hits_any(x, y, r, world._gap_boxes)
     c, s = math.cos(theta), math.sin(theta)
     for cx, cy in _rect_corner_tuples(x, y, c, s, footprint.length, footprint.width):
         if not (
@@ -607,13 +607,12 @@ def _supported(x, y, theta, footprint: Footprint, world: WorldModel, gaps) -> bo
             and cy <= world.bounds_y[1] + 1e-12
         ):
             return False
-    return not _rect_hits_any(x, y, c, s, footprint.length, footprint.width, gaps)
+    return not _rect_hits_any(x, y, c, s, footprint.length, footprint.width, world._gap_boxes)
 
 
 def _floor_solid_batch(xs, ys, thetas, footprint: Footprint, world: WorldModel) -> bool:
-    """`floor_solid` at every sample, against the gaps near the samples."""
-    gaps = _near(world._gap_boxes, xs, ys, footprint.max_radius + 1e-6)
-    return all(_supported(x, y, th, footprint, world, gaps) for x, y, th in zip(xs, ys, thetas))
+    """`floor_solid` at every sample, each against every gap."""
+    return all(_supported(x, y, th, footprint, world) for x, y, th in zip(xs, ys, thetas))
 
 
 # ---------------------------------------------------------------------------

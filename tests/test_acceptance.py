@@ -408,7 +408,7 @@ def test_one_worker_finishes_short_jobs_before_long(capfd):
     for i in range(10):
         q.submit(CountingJob(1, log, f"short{i}"))
     while q.pending_count():
-        q.step(1)
+        q.step()
     verdicts = q.drain_verdicts()
     shorts_first = log[-1:] == ["long"] and sorted(log[:10]) == [f"short{i}" for i in range(10)]
     ok = len(verdicts) == 11 and shorts_first

@@ -139,6 +139,10 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         ["solve", "--builtin", "three_routes_a", "--actions", "walk,fly"],
         ["solve", "--builtin", "three_routes_a", "--actions", " , "],
         ["show", "--scenario", str(bad)],
+        # --actions skipped the scenario parser's name check, so show printed
+        # "actions": ["fly"] and render drew the world
+        ["show", "--builtin", "hallway", "--actions", "fly"],
+        ["render", "--out", str(svg), "--builtin", "hallway", "--actions", "fly"],
         # a NaN limit ran no cycle and exited 2, "no path found within nans"
         ["solve", "--builtin", "three_routes_a", "--time-limit", "nan"],
         # no trials printed a row of nan and exited 2
@@ -179,6 +183,42 @@ def test_unwritable_output_exits_one_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(target) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--dump", "{missing}"],
+        ["solve", "--out", "{missing}"],
+        ["solve", "--svg", "{dir}"],
+        ["bench", "--trials", "1", "--csv", "{missing}"],
+        ["bench", "--trials", "1", "--csv", "{dir}"],
+    ],
+    ids=["solve-dump-missing-dir", "solve-out-missing-dir", "solve-svg-is-dir", "bench-csv-missing-dir", "bench-csv-is-dir"],
+)
+def test_unwritable_output_fails_before_the_search(tmp_path, capsys, argv):
+    # walk,crawl cannot solve three_routes_c, so the search used to run out
+    # its whole 20 s limit before the output was opened; the check takes
+    # about 2 ms
+    flag, target = argv[-2:]
+    path = target.format(missing=tmp_path / "missing" / "g.txt", dir=tmp_path)
+    reason = "is a directory" if target == "{dir}" else f"directory {tmp_path / 'missing'} does not exist"
+    argv = argv[:-1] + [path, "--builtin", "three_routes_c", "--actions", "walk,crawl", "--time-limit", "20"]
+    t0 = time.monotonic()
+    assert main(argv) == EXIT_INPUT
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err == f"error: {flag} {path}: {reason}\n"
+
+
+def test_repeated_action_flag_round_trips_through_show(tmp_path, capsys):
+    # --actions walk,walk printed both names, which the parser then merged
+    assert main(["show", "--builtin", "hallway", "--actions", "walk,walk"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert json.loads(text)["actions"] == ["walk"]
+    scn = tmp_path / "hallway.json"
+    scn.write_text(text)
+    assert main(["show", "--scenario", str(scn)]) == EXIT_OK
+    assert capsys.readouterr().out == text
 
 
 def test_show_round_trips(tmp_path, capsys):

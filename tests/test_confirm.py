@@ -218,7 +218,7 @@ def test_long_gait_job_settles_in_one_queue_step(profile):
     job = gait_job(w, profile, "walk", Pose(5, 4, 0, 1.0), Pose(35, 4, 0, 1.0))
     assert len(job._xs) > 1000
     q.submit(job)
-    assert q.step(1) == 1
+    assert q.step() == 1
     assert q.pending_count() == 0
     (v,) = q.drain_verdicts()
     assert v.outcome == CONFIRMED
@@ -293,7 +293,7 @@ def test_round_robin_finishes_short_jobs_before_long(open_world):
     for i in range(10):
         q.submit(FakeJob(1, log, f"short{i}"))
     while q.pending_count():
-        q.step(1)
+        q.step()
     assert log == [f"short{i}" for i in range(10)] + ["long"]
     verdicts = q.drain_verdicts()
     assert len(verdicts) == 11
@@ -312,7 +312,7 @@ def test_queue_step_completes_real_jobs(profile):
     q.submit(gait_job(w, profile, "walk", Pose(1, 2, 0, 1.0), Pose(8, 2, 0, 1.0)))
     q.submit(gait_job(w, profile, "walk", Pose(1, 6, 0, 1.0), Pose(3, 6, 0, 1.0)))
     while q.pending_count():
-        q.step(1)
+        q.step()
     got = q.drain_verdicts()
     assert len(got) == 2
     outcomes = {v.edge.pose_src.y: v.outcome for v in got}
@@ -332,7 +332,7 @@ def test_raising_job_fails_the_cooperative_step(open_world):
     q = ConfirmationQueue(open_world)
     q.submit(RaisingJob(7))
     with pytest.raises(ConfirmationError, match="jump edge 7 raised ZeroDivisionError") as info:
-        q.step(1)
+        q.step()
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 

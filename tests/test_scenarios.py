@@ -155,7 +155,7 @@ def test_gaps_span_full_width_and_fit_jump_budget():
 
 
 def test_staircase_bar_segments():
-    boxes = staircase_bar(5.0, 0.1, 0.0, 2.0, depth=0.4, granularity=0.1)
+    boxes = staircase_bar(5.0, 0.1, 0.0, 2.0)
     assert len(boxes) == 20
     assert all(b.z == BAR_Z for b in boxes)
     assert boxes[0].x[0] == pytest.approx(4.8)

@@ -20,23 +20,37 @@ timing of two programs that do not do the same work means nothing.
 Otherwise it prints, per repetition, the summed solve time of each side and
 their ratio (change over base), and at the end the median ratio and in how
 many repetitions the change was faster.
+
+The builtin solves are short (1,702 cycles over the 200), so before timing,
+the run also checks long insert-only growth: walk,crawl cannot solve
+three_routes_c or double_jump, and each side solves both at seeds 0 to 2
+under a counting clock. Each `time.monotonic()` read in that side's
+`planner` module advances 1 s, and `t_max` is 200, so every solve does the
+same work on any machine. The run exits 1 if the combined dump and log
+SHA-256 differs between the sides.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import shutil
 import statistics
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 SIDES = ("base", "change")
 SEEDS = 40
 T_MAX = 60.0
+WALLED_OFF = ("three_routes_c", "double_jump")
+WALLED_SEEDS = 3
+WALLED_READS = 200
 
 
 def load(src: Path, name: str, tmp: Path):
@@ -63,6 +77,29 @@ def solve(pg, name: str, seed: int) -> tuple[float, bytes, int]:
     return elapsed, h.digest(), planner.stats.cycles
 
 
+def walled_off(pg) -> tuple[str, int]:
+    """The combined dump and log digest and the cycle count of the walk,crawl
+    walled-off solves, each stopped after WALLED_READS reads of a counting
+    clock."""
+    planner_mod = importlib.import_module(f"{pg.__name__}.planner")
+    h = hashlib.sha256()
+    cycles = 0
+    try:
+        for name in WALLED_OFF:
+            sc = dataclasses.replace(pg.builtin_scenario(name), actions=("walk", "crawl"))
+            for seed in range(WALLED_SEEDS):
+                planner_mod.time = types.SimpleNamespace(monotonic=lambda c=itertools.count(): float(next(c)))
+                config = pg.PlannerConfig(t_max=WALLED_READS, seed=seed)
+                planner = pg.Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, config)
+                planner.find_path()
+                h.update(planner.graph.dump().encode())
+                h.update(planner.event_log().encode())
+                cycles += planner.stats.cycles
+    finally:
+        planner_mod.time = time
+    return h.hexdigest(), cycles
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="src directory of the base tree")
@@ -75,6 +112,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="paired_timing_") as tmp:
         sys.path.insert(0, tmp)
         pkgs = [load(src.resolve(), f"posgraph_{side}", Path(tmp)) for src, side in zip((args.base, args.change), SIDES)]
+        walled = [walled_off(pg) for pg in pkgs]
+        if walled[0][0] != walled[1][0]:
+            print(f"paired_timing: walled-off digests differ: {SIDES[0]} {walled[0][0]}, {SIDES[1]} {walled[1][0]}")
+            return 1
+        n = len(WALLED_OFF) * WALLED_SEEDS
+        print(f"identical: {n} walled-off solves, sha256 {walled[0][0]}, cycles {walled[0][1]} and {walled[1][1]}", flush=True)
         problems = [(name, seed) for seed in range(SEEDS) for name in pkgs[0].BUILTIN_NAMES]
         first_digests = None
         ratios = []
