@@ -8,22 +8,33 @@ job-confirmed in place, or records its keys as refuted for good and removes
 it. The tag sets the direction: a jump is one-way, any other edge has a twin
 that shares every step.
 
-One key index answers whether an edge key is live, refuted or free: it maps
-the quantized key (tag, source pose, destination pose) of each live edge to
-its id, and each refuted key to None, for good.
+An edge key is the quantized (tag, source pose, destination pose). A key is
+live while an edge between vertices at those quantized poses exists, which
+the source's out-edges or the destination's in-edges answer; a refuted key
+is kept in a set, for good.
 
 The start's and the goals' reach sets are live: inserting an edge extends them
 in place by a search from its new end; only a removal or new endpoints make the
 next query recompute them. Copy one before changing the graph while reading it.
+
+Vertex ids are dense, so per-vertex state (records, edge ids, union-find
+parents) lives in lists indexed by id. Each vertex tag also keeps a uniform
+grid of vertex ids filed by quantized position (Ericson, Real-Time Collision
+Detection, 2004). It finds the vertex a new pose dedups into, and
+`subgraph_closest` reads each component's nearest vertex from it lazily,
+walking rings of cells outward from the target; a tag of at most
+SCAN_VERTICES vertices is scanned in one pass instead.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .world import Pose, pose_distance
 
@@ -35,7 +46,7 @@ TAG_TRANSITION = "transition"
 VERTEX_TAGS = (TAG_WALK, TAG_CRAWL)
 EDGE_TAGS = (TAG_WALK, TAG_CRAWL, TAG_JUMP, TAG_TRANSITION)
 
-# quantization used by the edge key index and vertex dedup: 1 cm in
+# quantization used by edge keys, vertex dedup and the vertex grid: 1 cm in
 # x/y/h, 0.01 rad in heading
 _Q_XY = 0.01
 _Q_TH = 0.01
@@ -50,6 +61,17 @@ HEADING_FREE_WEIGHTS = (1.0, 1.0, 0.0, 1.0)
 # nearest_vertices returns at most this many vertices within this distance
 NEAREST_COUNT = 4
 NEAREST_RADIUS = 0.45
+# side of a vertex-grid cell, m; a whole number of position quanta, as a
+# vertex is filed by its quantized position
+VERTEX_GRID_CELL = 0.5
+# subgraph_closest scans a tag of at most this many vertices in one pass and
+# walks the grid beyond. A scan is the cheaper only below about 128 vertices;
+# the grid starts later because perfbench keeps every walled_off dump's text,
+# so its peak memory follows the vertices a timed solve grows, and from 128
+# on the grid grew them past that memory's bound (ROADMAP item 3)
+SCAN_VERTICES = 2500
+# dump() joins its lines in blocks of this many, never holding one string per line
+DUMP_BLOCK = 512
 
 
 class EdgeStatus(str, Enum):
@@ -98,14 +120,11 @@ class TagChecks:
 
 
 class _UnionFind:
-    """Plain union-find with path compression; components counted on demand."""
+    """Plain union-find over dense vertex ids with path compression; the lower
+    id becomes the root. Components are counted on demand."""
 
     def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def add(self, x: int):
-        if x not in self.parent:
-            self.parent[x] = x
+        self.parent: list[int] = []
 
     def find(self, x: int) -> int:
         root = x
@@ -135,6 +154,78 @@ def edge_key(tag: str, p0: Pose, p1: Pose) -> tuple:
     return (tag, quantize_pose(p0), quantize_pose(p1))
 
 
+# cell side in position quanta: cell (x, y) files the quantized positions
+# x * _CELL_Q to x * _CELL_Q + _CELL_Q - 1, and the same in y
+_CELL_Q = round(VERTEX_GRID_CELL / _Q_XY)
+
+
+class _VertexGrid:
+    """One tag's vertex ids filed by quantized position in square cells, each
+    cell's ids ascending, with the span of the occupied cells. All vertices
+    that share a quantized position share a cell, so the grid also finds a
+    vertex to dedup against."""
+
+    def __init__(self):
+        self.cells: dict[tuple[int, int], list[int]] = {}
+        self.box: list[int] | None = None  # occupied cells' x lo, x hi, y lo, y hi
+
+    def match(self, vertices: list[VertexRecord], q: tuple[int, int, int, int]) -> int | None:
+        """The vertex at quantized position q, heading ignored, if any."""
+        for vid in self.cells.get((q[0] // _CELL_Q, q[1] // _CELL_Q), ()):
+            r = vertices[vid].qpose
+            if r[0] == q[0] and r[1] == q[1] and r[3] == q[3]:
+                return vid
+        return None
+
+    def add(self, vid: int, q: tuple[int, int, int, int]) -> tuple[int, int]:
+        """File vertex vid at quantized pose q; returns its cell."""
+        x, y = cell = (q[0] // _CELL_Q, q[1] // _CELL_Q)
+        vids = self.cells.get(cell)
+        if vids is not None:
+            vids.append(vid)
+            return cell
+        self.cells[cell] = [vid]
+        box = self.box
+        if box is None:
+            self.box = [x, x, y, y]
+        else:
+            box[0], box[1], box[2], box[3] = min(box[0], x), max(box[1], x), min(box[2], y), max(box[3], y)
+        return cell
+
+    def rings(self, cx: int, cy: int):
+        """(k, the id lists of the occupied cells of ring k) for each ring k
+        around cell (cx, cy), outward, until the rings cover every occupied
+        cell; ring k holds the cells k steps away in x or y, whichever is
+        more.
+
+        Probing stops once it has cost eight lookups per occupied cell; the
+        rings left are then read from the cells themselves, sorted by ring,
+        so the empty rings between two distant vertices cost nothing."""
+        cells = self.cells
+        if not cells:
+            return
+        xlo, xhi, ylo, yhi = self.box
+        get = cells.get
+        budget = 8 * len(cells)
+        vids = get((cx, cy))
+        yield 0, [vids] if vids else []
+        k = 1
+        while cx - k >= xlo or cx + k <= xhi or cy - k >= ylo or cy + k <= yhi:
+            budget -= 8 * k
+            if budget < 0:
+                break
+            found = [vids for x in range(cx - k, cx + k + 1) for y in (cy - k, cy + k) if (vids := get((x, y)))]
+            found += [vids for y in range(cy - k + 1, cy + k) for x in (cx - k, cx + k) if (vids := get((x, y)))]
+            yield k, found
+            k += 1
+        else:
+            return
+        rest = sorted((max(abs(x - cx), abs(y - cy)), x, y) for x, y in cells)
+        start = bisect.bisect_left(rest, (k,))
+        for r, ring in itertools.groupby(rest[start:], key=lambda c: c[0]):
+            yield r, [cells[x, y] for _, x, y in ring]
+
+
 class PossibilityGraph:
     """Single shared graph over all actions, plus per-action component tracking.
 
@@ -147,20 +238,28 @@ class PossibilityGraph:
 
     def __init__(self, checks: dict[str, TagChecks] | None = None):
         self.checks = checks or {}
-        self.vertices: dict[int, VertexRecord] = {}
+        # indexed by vertex id
+        self.vertices: list[VertexRecord] = []
         self.edges: dict[int, EdgeRecord] = {}
         self.start_id: int | None = None
         self.goal_ids: list[int] = []
         self._next_vid = 0
         self._next_eid = 0
-        self._out: dict[int, list[int]] = {}
-        self._in: dict[int, list[int]] = {}
+        # out- and in-edge ids of each vertex in id order, indexed by vertex
+        # id; a tuple costs less than a list and most vertices hold few
+        self._out: list[tuple[int, ...]] = []
+        self._in: list[tuple[int, ...]] = []
         self._tag_vertices: dict[str, list[int]] = {t: [] for t in VERTEX_TAGS}
-        self._uf: dict[str, _UnionFind] = {t: _UnionFind() for t in VERTEX_TAGS}
+        self._grids: dict[str, _VertexGrid] = {t: _VertexGrid() for t in VERTEX_TAGS}
+        # one union-find for every tag: only same-tag edges join, so no
+        # component spans two tags
+        self._uf = _UnionFind()
         self._uf_dirty: set[str] = set()
-        # edge key -> id of the live edge holding it, or None once refuted
-        self._keys: dict[tuple, int | None] = {}
-        self._vertex_keys: dict[tuple, int] = {}
+        # edge keys refuted for good
+        self._refuted: set[tuple] = set()
+        # quantized poses that two vertices (of two tags) hold, with their
+        # ids; every other quantized pose has at most one vertex
+        self._shared: dict[tuple[int, int, int, int], list[int]] = {}
         # "start" and "goal" reach sets; a missing one is recomputed on query
         self._reach: dict[str, set[int]] = {}
 
@@ -170,6 +269,9 @@ class PossibilityGraph:
         self.start_id = start_id
         self.goal_ids = list(goal_ids)
         self._reach.clear()
+
+    def _has(self, vid) -> bool:
+        return isinstance(vid, int) and 0 <= vid < len(self.vertices)
 
     def vertex_count(self, tag: str | None = None) -> int:
         if tag is None:
@@ -194,17 +296,23 @@ class PossibilityGraph:
         if chk and chk.vertex and not chk.vertex(pose):
             raise ConditionViolation(f"vertex pose fails necessary condition for {tag!r}: {pose}")
         q = quantize_pose(pose)
-        key = (tag, q[0], q[1], q[3])
-        if key in self._vertex_keys:
-            return self._vertex_keys[key]
+        grid = self._grids[tag]
+        same = grid.match(self.vertices, q)
+        if same is not None:
+            return same
         vid = self._next_vid
         self._next_vid += 1
-        self.vertices[vid] = VertexRecord(vid, pose, tag, q)
-        self._out[vid] = []
-        self._in[vid] = []
+        self.vertices.append(VertexRecord(vid, pose, tag, q))
+        self._out.append(())
+        self._in.append(())
+        self._uf.parent.append(vid)
         self._tag_vertices[tag].append(vid)
-        self._uf[tag].add(vid)
-        self._vertex_keys[key] = vid
+        cell = grid.add(vid, q)
+        for other in self._grids.values():
+            if other is not grid:
+                for same in other.cells.get(cell, ()):
+                    if self.vertices[same].qpose == q:
+                        self._shared[q] = [same, vid]
         return vid
 
     # -- edges ------------------------------------------------------------
@@ -217,19 +325,65 @@ class PossibilityGraph:
             return length + JUMP_SURCHARGE
         return length
 
+    def _holders(self, q: tuple[int, int, int, int]) -> Iterable[int]:
+        """Ids of the vertices at quantized pose q."""
+        shared = self._shared.get(q)
+        if shared is not None:
+            return shared
+        for grid in self._grids.values():
+            vid = grid.match(self.vertices, q)
+            if vid is not None and self.vertices[vid].qpose == q:
+                return (vid,)
+        return ()
+
+    def _joined(self, tag: str, src: int, dst: int) -> bool:
+        """Whether a live edge of the tag runs from vertex src to vertex dst,
+        judged on the shorter of src's out-edges and dst's in-edges."""
+        edges = self.edges
+        out, into = self._out[src], self._in[dst]
+        if len(out) <= len(into):
+            for eid in out:
+                e = edges[eid]
+                if e.dst == dst and e.tag == tag:
+                    return True
+        else:
+            for eid in into:
+                e = edges[eid]
+                if e.src == src and e.tag == tag:
+                    return True
+        return False
+
+    def _key_live(self, tag: str, srcs: Iterable[int], dsts: Iterable[int]) -> bool:
+        """Whether a live edge of the tag runs from a vertex of srcs, the
+        holders of one quantized pose, to one of dsts, those of another."""
+        return any(self._joined(tag, s, d) for s in srcs for d in dsts)
+
     def edge_blocked(self, tag: str, p0: Pose, p1: Pose) -> bool:
         """True if this quantized endpoint pair was refuted or already exists
         live."""
-        return edge_key(tag, p0, p1) in self._keys
+        key = edge_key(tag, p0, p1)
+        return key in self._refuted or self._key_live(tag, self._holders(key[1]), self._holders(key[2]))
 
     def edge_live(self, tag: str, p0: Pose, p1: Pose) -> bool:
         """True if an edge with these quantized endpoints currently exists."""
-        return self._keys.get(edge_key(tag, p0, p1)) is not None
+        key = edge_key(tag, p0, p1)
+        return self._key_live(tag, self._holders(key[1]), self._holders(key[2]))
 
     def edge_live_between(self, tag: str, src: int, dst: int) -> bool:
         """`edge_live` for the poses of two existing vertices, keyed on their
         stored quantized poses."""
-        return self._keys.get((tag, self.vertices[src].qpose, self.vertices[dst].qpose)) is not None
+        if not self._shared:
+            return self._joined(tag, src, dst)
+        shared = self._shared.get
+        return self._key_live(tag, shared(self.vertices[src].qpose, (src,)), shared(self.vertices[dst].qpose, (dst,)))
+
+    def _key_blocked(self, tag: str, src: int, dst: int) -> bool:
+        """`edge_blocked` for the stored quantized poses of two vertices."""
+        if self._refuted and (tag, self.vertices[src].qpose, self.vertices[dst].qpose) in self._refuted:
+            return True
+        if self._shared:
+            return self.edge_live_between(tag, src, dst)
+        return self._joined(tag, src, dst)
 
     def insert_edge(
         self,
@@ -251,18 +405,19 @@ class PossibilityGraph:
         """
         if tag not in EDGE_TAGS:
             raise ValueError(f"unknown edge tag {tag!r}")
-        if src not in self.vertices or dst not in self.vertices:
+        n = len(self.vertices)
+        if not (0 <= src < n and 0 <= dst < n):
             raise KeyError("edge endpoints must be existing vertices")
         v0, v1 = self.vertices[src], self.vertices[dst]
         p0, p1 = v0.pose, v1.pose
-        if (tag, v0.qpose, v1.qpose) in self._keys:
+        if self._key_blocked(tag, src, dst):
             return []
         chk = self.checks.get(tag)
         if chk and chk.edge and not chk.edge(p0, p1):
             return []
         c = self._edge_cost(p0, p1, tag) if cost is None else cost
         ids = [self._add_one(src, dst, tag, status, c, apex)]
-        if tag != TAG_JUMP and (tag, v1.qpose, v0.qpose) not in self._keys:
+        if tag != TAG_JUMP and not self._key_blocked(tag, dst, src):
             ids.append(self._add_one(dst, src, tag, status, c, apex))
             self.edges[ids[0]].twin = ids[1]
             self.edges[ids[1]].twin = ids[0]
@@ -272,16 +427,15 @@ class PossibilityGraph:
             and v1.tag == tag
             and tag not in self._uf_dirty
         ):
-            self._uf[tag].union(src, dst)
+            self._uf.union(src, dst)
         return ids
 
     def _add_one(self, src, dst, tag, status, cost, apex) -> int:
         eid = self._next_eid
         self._next_eid += 1
         self.edges[eid] = EdgeRecord(eid, tag, src, dst, status, cost, apex)
-        self._keys[(tag, self.vertices[src].qpose, self.vertices[dst].qpose)] = eid
-        self._out[src].append(eid)
-        self._in[dst].append(eid)
+        self._out[src] += (eid,)
+        self._in[dst] += (eid,)
         start, goal = self._reach.get("start"), self._reach.get("goal")
         if start is not None and src in start and dst not in start:
             self._bfs([dst], self._out, True, start)
@@ -300,9 +454,8 @@ class PossibilityGraph:
             doom.append(self.edges[e.twin])
         for rec in doom:
             del self.edges[rec.id]
-            del self._keys[(rec.tag, self.vertices[rec.src].qpose, self.vertices[rec.dst].qpose)]
-            self._out[rec.src].remove(rec.id)
-            self._in[rec.dst].remove(rec.id)
+            self._out[rec.src] = tuple(x for x in self._out[rec.src] if x != rec.id)
+            self._in[rec.dst] = tuple(x for x in self._in[rec.dst] if x != rec.id)
             if rec.tag in VERTEX_TAGS:
                 self._uf_dirty.add(rec.tag)
         self._reach.clear()
@@ -319,16 +472,16 @@ class PossibilityGraph:
             return
         self.remove_edge(eid)
         q0, q1 = self.vertices[e.src].qpose, self.vertices[e.dst].qpose
-        self._keys[(e.tag, q0, q1)] = None
+        self._refuted.add((e.tag, q0, q1))
         if e.tag != TAG_JUMP:
-            self._keys[(e.tag, q1, q0)] = None
+            self._refuted.add((e.tag, q1, q0))
 
     # -- connectivity -----------------------------------------------------
 
     def _rebuild_uf(self, tag: str):
-        uf = _UnionFind()
+        uf = self._uf
         for vid in self._tag_vertices[tag]:
-            uf.add(vid)
+            uf.parent[vid] = vid
         for e in self.edges.values():
             if (
                 e.tag == tag
@@ -336,26 +489,26 @@ class PossibilityGraph:
                 and self.vertices[e.dst].tag == tag
             ):
                 uf.union(e.src, e.dst)
-        self._uf[tag] = uf
         self._uf_dirty.discard(tag)
 
     def components(self, tag: str) -> dict[int, list[int]]:
         """Connected components of the per-action undirected view."""
         if tag in self._uf_dirty:
             self._rebuild_uf(tag)
-        uf = self._uf[tag]
+        find = self._uf.find
         comps: dict[int, list[int]] = {}
         for vid in self._tag_vertices[tag]:
-            comps.setdefault(uf.find(vid), []).append(vid)
+            comps.setdefault(find(vid), []).append(vid)
         return comps
 
     def _bfs(
-        self, seeds: Iterable[int], adjacency: dict[int, list[int]], forward: bool, seen: set[int] | None = None
+        self, seeds: Iterable[int], adjacency: list[tuple[int, ...]], forward: bool, seen: set[int] | None = None
     ) -> set[int]:
         """Vertices reached from the seeds. Given `seen`, grows it in place
         and does not pass the vertices already in it."""
         seen = set() if seen is None else seen
-        q = deque(s for s in seeds if s in self.vertices and s not in seen)
+        n = len(self.vertices)
+        q = deque(s for s in seeds if s is not None and 0 <= s < n and s not in seen)
         seen.update(q)
         while q:
             v = q.popleft()
@@ -386,7 +539,7 @@ class PossibilityGraph:
 
     def connected(self, src: int, dst: int) -> bool:
         """Directed reachability src -> dst over all live edges."""
-        if src not in self.vertices or dst not in self.vertices:
+        if not self._has(src) or not self._has(dst):
             return False
         if src == self.start_id:
             return dst in self.start_reachable_set()
@@ -396,9 +549,9 @@ class PossibilityGraph:
 
     def shortest_path(self, src: int, dst: int) -> PathResult | None:
         """Dijkstra over edge costs; equal-cost ties prefer wiring through the
-        lower incoming edge id, which keeps results deterministic. Out-lists
+        lower incoming edge id, which keeps results deterministic. Out-edges
         are already in ascending edge id order (`audit` checks it)."""
-        if src not in self.vertices or dst not in self.vertices:
+        if not self._has(src) or not self._has(dst):
             return None
         dist: dict[int, float] = {src: 0.0}
         prev_edge: dict[int, int] = {}
@@ -436,21 +589,80 @@ class PossibilityGraph:
         eids.reverse()
         return PathResult(tuple(verts), tuple(eids), dist[dst])
 
-    def subgraph_closest(self, tag: str, target: Pose) -> list[tuple[float, int]]:
-        """Per-component nearest vertex to target as (distance, vertex id),
-        sorted ascending (ties toward the lower vertex id)."""
+    def subgraph_closest(self, tag: str, target: Pose) -> Iterator[tuple[float, int]]:
+        """Per-component nearest vertex to target as (distance, vertex id), in
+        ascending order (ties toward the lower vertex id).
+
+        The entries are read lazily from the tag's vertex grid, and they
+        describe the graph as it was at the call: the graph may change while
+        they are read, but vertices inserted since do not show and components
+        merged since still count as separate."""
         if tag in self._uf_dirty:
             self._rebuild_uf(tag)
-        find = self._uf[tag].find
-        best: dict[int, tuple[float, int]] = {}
-        # vertex ids ascend, so a strict `<` keeps the lower id on a tie
-        for vid in self._tag_vertices[tag]:
-            d = pose_distance(self.vertices[vid].pose, target)
-            root = find(vid)
-            b = best.get(root)
-            if b is None or d < b[0]:
-                best[root] = (d, vid)
-        return sorted(best.values())
+        vids = self._tag_vertices[tag]
+        if len(vids) <= SCAN_VERTICES:
+            find = self._uf.find
+            best: dict[int, tuple[float, int]] = {}
+            # vertex ids ascend, so a strict `<` keeps the lower id on a tie
+            for vid in vids:
+                d = pose_distance(self.vertices[vid].pose, target)
+                root = find(vid)
+                b = best.get(root)
+                if b is None or d < b[0]:
+                    best[root] = (d, vid)
+            return iter(sorted(best.values()))
+        return self._closest(self._grids[tag], self._uf.parent[:], len(self.vertices), target)
+
+    def _closest(self, grid: _VertexGrid, parent: list[int], n: int, target: Pose):
+        """Entries of `subgraph_closest`, given the union-find parents and the
+        vertex count at the call.
+
+        Ring by ring, outward from the target's cell, every vertex of a
+        visited cell goes on a heap by (distance, id), unless its component
+        was already given, which costs one find and no distance. An entry is
+        given once it is nearer than the border of the visited rings:
+        pose_distance is at least the planar distance, so no vertex of a ring
+        not yet visited can be nearer."""
+        vertices = self.vertices
+        tx, ty = target.x, target.y
+        side = _CELL_Q * _Q_XY
+        # cell c spans [c * side - half, (c + 1) * side - half]
+        half = 0.5 * _Q_XY
+        cx, cy = math.floor((tx + half) / side), math.floor((ty + half) / side)
+        # the border is shrunk to cover rounding in it and in the distances
+        slack = 1e-9 * (1.0 + abs(tx) + abs(ty))
+        heap: list[tuple[float, int, int]] = []
+        given: set[int] = set()
+        for k, cells in grid.rings(cx, cy):
+            # distance from the target to the square of the rings inside ring k
+            border = min(
+                tx - ((cx - k + 1) * side - half),
+                (cx + k) * side - half - tx,
+                ty - ((cy - k + 1) * side - half),
+                (cy + k) * side - half - ty,
+            )
+            bound = border * (1.0 - 1e-9) - slack
+            while heap and heap[0][0] < bound:
+                d, vid, root = heapq.heappop(heap)
+                if root not in given:
+                    given.add(root)
+                    yield d, vid
+            for vids in cells:
+                for vid in vids:
+                    # ids ascend within a cell, and those from n on are newer
+                    # than the call
+                    if vid >= n:
+                        break
+                    root = vid
+                    while parent[root] != root:
+                        root = parent[root]
+                    if root not in given:
+                        heapq.heappush(heap, (pose_distance(vertices[vid].pose, target), vid, root))
+        while heap:
+            d, vid, root = heapq.heappop(heap)
+            if root not in given:
+                given.add(root)
+                yield d, vid
 
     def nearest_vertices(self, tag: str, pose: Pose) -> list[int]:
         """Up to NEAREST_COUNT vertices of one manifold within NEAREST_RADIUS
@@ -468,15 +680,18 @@ class PossibilityGraph:
     def dump(self) -> str:
         """Line-oriented text: V id tag x y theta h / E id tag from to status
         cost, each line ended by a newline; a graph with no lines dumps "\\n".
-        The lines are joined in one step, so a dump briefly holds about three
-        times the size of its text (2.1 MB for a graph of 4,053 vertices)."""
-        return "\n".join(self._dump_lines()) + "\n"
+        The lines are joined DUMP_BLOCK at a time, so a dump holds about
+        twice the size of its text at its peak, not one string per line."""
+        lines = self._dump_lines()
+        blocks = []
+        while block := list(itertools.islice(lines, DUMP_BLOCK)):
+            blocks.append("\n".join(block) + "\n")
+        return "".join(blocks) or "\n"
 
     def _dump_lines(self):
-        for vid in sorted(self.vertices):
-            v = self.vertices[vid]
+        for v in self.vertices:
             p = v.pose
-            yield f"V {vid} {v.tag} {p.x:.6f} {p.y:.6f} {p.theta:.6f} {p.h:.6f}"
+            yield f"V {v.id} {v.tag} {p.x:.6f} {p.y:.6f} {p.theta:.6f} {p.h:.6f}"
         for eid in sorted(self.edges):
             e = self.edges[eid]
             yield f"E {eid} {e.tag} {e.src} {e.dst} {e.status.value} {e.cost:.6f}"
@@ -485,25 +700,42 @@ class PossibilityGraph:
 
     def audit(self):
         """Structural invariants; raises AssertionError on violation."""
-        for v in self.vertices.values():
-            assert v.tag in VERTEX_TAGS
+        for vid, v in enumerate(self.vertices):
+            assert v.id == vid and v.tag in VERTEX_TAGS
             chk = self.checks.get(v.tag)
             if chk and chk.vertex:
                 assert chk.vertex(v.pose), f"vertex {v.id} fails {v.tag} condition"
             assert v.qpose == quantize_pose(v.pose), f"vertex {v.id} holds a stale quantized pose"
-        for vid, out in self._out.items():
-            # ids are allocated in ascending order and list.remove keeps it
-            assert out == sorted(out), f"out-list of vertex {vid} is not in edge id order"
+        for vid, out in enumerate(self._out):
+            # ids are allocated in ascending order and removal keeps it
+            assert list(out) == sorted(out), f"out-edges of vertex {vid} are not in edge id order"
         for e in self.edges.values():
             assert e.tag in EDGE_TAGS
-            assert e.src in self.vertices and e.dst in self.vertices
+            assert self._has(e.src) and self._has(e.dst)
             chk = self.checks.get(e.tag)
             if chk and chk.edge:
                 assert chk.edge(self.vertices[e.src].pose, self.vertices[e.dst].pose)
-        keys = {(e.tag, self.vertices[e.src].qpose, self.vertices[e.dst].qpose): e.id for e in self.edges.values()}
+        keys = {(e.tag, self.vertices[e.src].qpose, self.vertices[e.dst].qpose) for e in self.edges.values()}
         assert len(keys) == len(self.edges), "two live edges share a quantized key"
-        live = {k: eid for k, eid in self._keys.items() if eid is not None}
-        assert live == keys, "the edge key index differs from the live edges"
+        assert not keys & self._refuted, "a live edge holds a refuted key"
+        holders: dict[tuple, list[int]] = {}
+        for v in self.vertices:
+            holders.setdefault(v.qpose, []).append(v.id)
+        assert self._shared == {q: vids for q, vids in holders.items() if len(vids) > 1}, "shared quantized poses are misrecorded"
+        cells = {
+            tag: sorted(
+                (self.vertices[vid].qpose[0] // _CELL_Q, self.vertices[vid].qpose[1] // _CELL_Q, vid)
+                for vid in self._tag_vertices[tag]
+            )
+            for tag in VERTEX_TAGS
+        }
+        grid = {tag: sorted((x, y, vid) for (x, y), vids in g.cells.items() for vid in vids) for tag, g in self._grids.items()}
+        assert grid == cells, "the vertex grid differs from the vertex poses"
+        for g in self._grids.values():
+            assert all(vids == sorted(vids) for vids in g.cells.values()), "a grid cell is not in id order"
+            if g.cells:
+                xs, ys = [x for x, _ in g.cells], [y for _, y in g.cells]
+                assert g.box == [min(xs), max(xs), min(ys), max(ys)], "the vertex grid box is not its cells' span"
         fresh = {"start": self._bfs([self.start_id], self._out, True), "goal": self._bfs(self.goal_ids, self._in, False)}
         for name, reach in self._reach.items():
             assert reach == fresh[name], f"{name} reach set differs from a fresh search"

@@ -26,6 +26,7 @@ from .graph import (
     TAG_TRANSITION,
     TAG_WALK,
     VERTEX_TAGS,
+    quantize_pose,
 )
 from .world import (
     Pose,
@@ -126,6 +127,14 @@ class Planner:
         if not math.isfinite(steps):
             raise PlannerInputError(f"world diagonal over step {STEP} is not a finite number of steps")
         self._chain_limit = math.ceil(steps) + 4
+        # vertex dedup and edge keys quantize positions to integers; a bound
+        # whose quantized value overflows would stop the first insertion
+        for axis, bounds in (("x", world.bounds_x), ("y", world.bounds_y)):
+            for end, v in zip(("low", "high"), bounds):
+                try:
+                    quantize_pose(Pose(v, v))
+                except OverflowError:
+                    raise PlannerInputError(f"world bound {axis} {end} {v!r} is too large to quantize to a grid of 1 cm") from None
 
     # -- setup ------------------------------------------------------------
 
@@ -244,19 +253,20 @@ class Planner:
     def grow_holonomic(self, action: GaitAction, target: Pose) -> list[int]:
         """Two-sided growth: extend the nearest component toward the target,
         then pull the next eligible component toward whatever was just built."""
+        # entries are read lazily and describe the graph before the first
+        # connect, so the second is found only after it
         entries = self.graph.subgraph_closest(action.tag, target)
-        if not entries:
+        nearest = next(entries, None)
+        if nearest is None:
             return []
-        first = entries[0][1]
+        first = nearest[1]
         new_ids = self.connect(action, first, target)
         retarget = self.graph.vertices[new_ids[-1]].pose if new_ids else target
-        idx = 1
         goal_set = self.graph.goal_reaching_set()
-        if first in goal_set:
-            while idx < len(entries) and entries[idx][1] in goal_set:
-                idx += 1
-        if idx < len(entries):
-            new_ids += self.connect(action, entries[idx][1], retarget)
+        for _, vid in entries:
+            if first not in goal_set or vid not in goal_set:
+                new_ids += self.connect(action, vid, retarget)
+                break
         return new_ids
 
     def grow_nonholonomic(self, action: JumpAction, target: Pose) -> list[int]:

@@ -320,6 +320,22 @@ def test_unbounded_world_diagonal_exits_one_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_far_from_origin_world_exits_one_without_traceback(tmp_path, capsys):
+    # finite bounds whose 1 cm quantization overflows died in quantize_pose
+    # with "OverflowError: cannot convert float infinity to integer"
+    scn = small_scenario_file(
+        tmp_path,
+        bounds={"x": [1e307, 1.0000000000001e307], "y": [0, 6]},
+        obstacles=[],
+        start={"x": 1e307, "y": 3},
+        goals=[{"x": 1e307, "y": 4}],
+    )
+    assert main(solve_args(scn)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: world bound x low 1e+307")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value", [("stride", 0), ("stride", -0.4), ("res", float("inf")), ("r_jump", float("nan"))])
 def test_bad_profile_number_exits_one_at_once(tmp_path, capsys, field, value):
     # three_routes_b spawns gait confirmation jobs, whose foothold loop never

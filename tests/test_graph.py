@@ -2,11 +2,14 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from posgraph import EdgeStatus, Pose, PossibilityGraph
+from posgraph import graph as graph_module
 from posgraph.graph import (
+    DUMP_BLOCK,
     ConditionViolation,
     EDGE_TAGS,
     TAG_CRAWL,
@@ -14,6 +17,7 @@ from posgraph.graph import (
     TAG_TRANSITION,
     TAG_WALK,
     VERTEX_TAGS,
+    VERTEX_GRID_CELL,
     TagChecks,
     edge_key,
     quantize_pose,
@@ -53,7 +57,7 @@ def all_simple_paths_min_cost(g, src, dst):
 
 def brute_reach(g, seeds, forward):
     """Vertices reached from the seeds by scanning every live edge."""
-    seen = {s for s in seeds if s in g.vertices}
+    seen = {s for s in seeds if s is not None and 0 <= s < len(g.vertices)}
     frontier = list(seen)
     while frontier:
         v = frontier.pop()
@@ -68,7 +72,7 @@ def brute_reach(g, seeds, forward):
 def brute_closest(g, tag, target):
     """Per-component (vertex id, distance) minima over a fresh undirected
     search of the tag's own edges, sorted by (distance, vertex id)."""
-    members = {vid for vid, v in g.vertices.items() if v.tag == tag}
+    members = {v.id for v in g.vertices if v.tag == tag}
     best, done = [], set()
     for vid in sorted(members):
         if vid in done:
@@ -85,6 +89,14 @@ def brute_closest(g, tag, target):
         done |= comp
         best.append(min((pose_distance(g.vertices[u].pose, target), u) for u in comp))
     return [(u, d) for d, u in sorted(best)]
+
+
+@pytest.fixture(params=["grid", "scan"])
+def closest_path(request, monkeypatch):
+    """Run a test once with subgraph_closest walking the vertex grid and once
+    with it scanning every vertex."""
+    monkeypatch.setattr(graph_module, "SCAN_VERTICES", 0 if request.param == "grid" else 10**9)
+    return request.param
 
 
 # -- vertices -------------------------------------------------------------
@@ -255,6 +267,26 @@ def test_edge_key_includes_heading():
     c = Pose(2, 1, 0.0, 1.0)
     assert edge_key(TAG_JUMP, a, c) != edge_key(TAG_JUMP, b, c)
     assert quantize_pose(a) == quantize_pose(b)[:1] + quantize_pose(a)[1:]
+
+
+def test_edge_keys_of_vertices_sharing_a_quantized_pose():
+    # a walk and a crawl vertex can hold one quantized pose; an edge key is
+    # live or refuted whichever of them the edge starts from
+    g = PossibilityGraph()
+    a = g.insert_vertex(Pose(0, 0, 0, 0.5), TAG_WALK)
+    b = g.insert_vertex(Pose(0, 0, 0, 0.5), TAG_CRAWL)
+    c = g.insert_vertex(Pose(1, 0, 0, 0.5), TAG_CRAWL)
+    assert a != b
+    pa, pc = g.vertices[a].pose, g.vertices[c].pose
+    (eid,) = g.insert_edge(b, c, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2)
+    assert g.edge_live(TAG_JUMP, pa, pc) and g.edge_live_between(TAG_JUMP, a, c)
+    assert g.insert_edge(a, c, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2) == []
+    g.settle_edge(eid, False)
+    assert g.edge_blocked(TAG_JUMP, pa, pc) and not g.edge_live(TAG_JUMP, pa, pc)
+    assert g.insert_edge(a, c, TAG_JUMP, EdgeStatus.INDETERMINATE, apex=0.2) == []
+    # a transition between the two holds the same key both ways, so it has no twin
+    assert len(g.insert_edge(a, b, TAG_TRANSITION, EdgeStatus.SUFFICIENT)) == 1
+    g.audit()
 
 
 def test_insert_edge_reasserts_condition():
@@ -437,12 +469,82 @@ def test_subgraph_closest_orders_components():
     build_line(g, TAG_WALK, [0, 1])
     build_line(g, TAG_WALK, [5, 6])
     target = Pose(4.4, 0, 0, 1.0)
-    entries = g.subgraph_closest(TAG_WALK, target)
+    entries = list(g.subgraph_closest(TAG_WALK, target))
     assert len(entries) == 2
     (d0, v0), (d1, v1) = entries
     assert g.vertices[v0].pose.x == 5
     assert g.vertices[v1].pose.x == 1
     assert d0 < d1
+
+
+def _border_coords(rng):
+    """Coordinates on and beside vertex-grid cell borders (a cell files the
+    1 cm quanta from its lower border, so the borders sit half a quantum
+    below multiples of the cell side), negative ones included."""
+    k = rng.randint(-8, 8)
+    return k * VERTEX_GRID_CELL + rng.choice((-0.005, -0.0049, 0.0, 0.0049, 0.005, rng.uniform(0, VERTEX_GRID_CELL)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subgraph_closest_matches_brute_force(seed, closest_path):
+    """Every entry, in order, equals the brute-force per-component minima:
+    vertices on and beside cell borders at negative and positive
+    coordinates, targets inside, between and far outside the occupied cells,
+    and a union-find left dirty by removals."""
+    rng = random.Random(seed)
+    g = PossibilityGraph()
+    vids = []
+    for _ in range(60):
+        tag, h = rng.choice(((TAG_WALK, 1.0), (TAG_CRAWL, 0.3)))
+        vids.append(g.insert_vertex(Pose(_border_coords(rng), _border_coords(rng), rng.uniform(-3, 3), h), tag))
+    for _ in range(50):
+        a, b = rng.sample(vids, 2)
+        g.insert_edge(a, b, rng.choice((TAG_WALK, TAG_CRAWL, TAG_JUMP)), EdgeStatus.SUFFICIENT)
+    for step in range(12):
+        if step % 3 == 2 and g.edges:
+            g.remove_edge(rng.choice(sorted(g.edges)))
+        for tag, h in ((TAG_WALK, 1.0), (TAG_CRAWL, 0.3)):
+            far = rng.choice((1.0, 1.0, 5.0, 40.0))
+            target = Pose(far * _border_coords(rng), far * _border_coords(rng), rng.uniform(-3, 3), h + rng.uniform(-0.2, 0.2))
+            want = brute_closest(g, tag, target)
+            assert [(vid, d) for d, vid in g.subgraph_closest(tag, target)] == want
+            assert [vid for _, vid in itertools.islice(g.subgraph_closest(tag, target), 2)] == [vid for vid, _ in want[:2]]
+    g.audit()
+
+
+def test_subgraph_closest_reads_the_graph_as_it_was_at_the_call(closest_path):
+    """An iterator from before a change keeps giving the entries of the graph
+    at its call: components merged since still count as separate, and new
+    vertices do not show."""
+    g = PossibilityGraph()
+    chains = [build_line(g, TAG_WALK, [x0 + 0.3 * i for i in range(4)]) for x0 in (0.0, 2.0, 4.0, 6.0, 8.0)]
+    target = Pose(0.1, 0.2, 0.0, 1.0)
+    want = brute_closest(g, TAG_WALK, target)
+    entries = g.subgraph_closest(TAG_WALK, target)
+    assert next(entries) == (want[0][1], want[0][0])
+    # merge the second chain into the first and the fourth into the third,
+    # and add vertices nearer the target than any left to read
+    g.insert_edge(chains[0][-1], chains[1][0], TAG_WALK, EdgeStatus.SUFFICIENT)
+    g.insert_edge(chains[2][-1], chains[3][0], TAG_WALK, EdgeStatus.SUFFICIENT)
+    fresh = build_line(g, TAG_WALK, [0.15, 0.45])
+    assert [(vid, d) for d, vid in entries] == want[1:]
+    # read now, the merged chains count once and the fresh one leads
+    now = brute_closest(g, TAG_WALK, target)
+    assert len(now) == 4 and now[0][0] in fresh
+
+
+def test_subgraph_closest_copes_with_a_far_flung_grid(closest_path):
+    """Vertices 10^6 m apart: the empty rings between them cost nothing."""
+    g = PossibilityGraph()
+    poses = [(0.0, 0.0), (1e6, 0.0), (-3e5, 1e6), (0.2, 0.1)]
+    for x, y in poses:
+        g.insert_vertex(Pose(x, y, 0.0, 1.0), TAG_WALK)
+    t0 = time.perf_counter()
+    for target in (Pose(0.1, 0.0, 0.0, 1.0), Pose(5e5, 1.0, 0.0, 1.0), Pose(-2e6, -2e6, 0.0, 1.0)):
+        got = [(vid, d) for d, vid in g.subgraph_closest(TAG_WALK, target)]
+        assert got == brute_closest(g, TAG_WALK, target)
+        assert len(got) == len(poses)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_nearest_vertices_radius_and_order():
@@ -480,8 +582,10 @@ def test_dump_format_and_determinism():
         assert parts[5] in ("sufficient-confirmed", "indeterminate", "job-confirmed")
 
 
-@pytest.mark.parametrize("n_lines", [0, 1, 511, 512, 513, 1024])
+@pytest.mark.parametrize("n_lines", [0, 1, DUMP_BLOCK - 1, DUMP_BLOCK, DUMP_BLOCK + 1, 2 * DUMP_BLOCK])
 def test_dump_is_one_newline_joined_text_at_any_size(n_lines):
+    # dump() joins its lines a block at a time: none, one line, a block
+    # short by one, exactly one, one and a line over, and two blocks
     # a quarter of the lines are twinned edge pairs, the rest vertices
     pairs = n_lines // 4
     g = PossibilityGraph()
@@ -489,12 +593,14 @@ def test_dump_is_one_newline_joined_text_at_any_size(n_lines):
     for k in range(pairs):
         g.insert_edge(vids[2 * k], vids[2 * k + 1], TAG_WALK, EdgeStatus.SUFFICIENT)
     lines = []
-    for v in g.vertices.values():
+    for v in g.vertices:
         p = v.pose
         lines.append(f"V {v.id} {v.tag} {p.x:.6f} {p.y:.6f} {p.theta:.6f} {p.h:.6f}")
     lines += [f"E {e.id} {e.tag} {e.src} {e.dst} {e.status.value} {e.cost:.6f}" for e in g.edges.values()]
     assert len(lines) == n_lines
     assert g.dump() == "\n".join(lines) + "\n"
+    if not n_lines:
+        assert g.dump() == "\n"
 
 
 def test_audit_passes_on_random_graph():

@@ -21,13 +21,17 @@ Otherwise it prints, per repetition, the summed solve time of each side and
 their ratio (change over base), and at the end the median ratio and in how
 many repetitions the change was faster.
 
-The builtin solves are short (1,702 cycles over the 200), so before timing,
-the run also checks long insert-only growth: walk,crawl cannot solve
-three_routes_c or double_jump, and each side solves both at seeds 0 to 2
-under a counting clock. Each `time.monotonic()` read in that side's
-`planner` module advances 1 s, and `t_max` is 200, so every solve does the
-same work on any machine. The run exits 1 if the combined dump and log
-SHA-256 differs between the sides.
+The builtin solves are short (1,702 cycles over the 200), so before timing
+them, the run also checks and times long insert-only growth: walk,crawl
+cannot solve three_routes_c or double_jump, and each side solves both at
+seeds 0 to 2 under a counting clock, the side that goes first alternating
+from solve to solve. Each `time.monotonic()` read in that side's `planner`
+module advances 1 s, and `t_max` is 1,000, so every solve does the same
+work on any machine; most of these graphs grow past `graph.SCAN_VERTICES`
+vertices a tag, from where `subgraph_closest` walks its vertex grid. The
+run exits 1 if the combined dump and log SHA-256 differs between the sides;
+otherwise it prints the summed time of each side's walled-off solves and
+their ratio.
 """
 from __future__ import annotations
 
@@ -50,7 +54,7 @@ SEEDS = 40
 T_MAX = 60.0
 WALLED_OFF = ("three_routes_c", "double_jump")
 WALLED_SEEDS = 3
-WALLED_READS = 200
+WALLED_READS = 1000
 
 
 def load(src: Path, name: str, tmp: Path):
@@ -77,27 +81,25 @@ def solve(pg, name: str, seed: int) -> tuple[float, bytes, int]:
     return elapsed, h.digest(), planner.stats.cycles
 
 
-def walled_off(pg) -> tuple[str, int]:
-    """The combined dump and log digest and the cycle count of the walk,crawl
-    walled-off solves, each stopped after WALLED_READS reads of a counting
-    clock."""
+def walled_off(pg, name: str, seed: int) -> tuple[float, bytes, int]:
+    """One walk,crawl walled-off solve stopped after WALLED_READS reads of a
+    counting clock: its time in seconds, its dump and log digest and its
+    cycle count."""
     planner_mod = importlib.import_module(f"{pg.__name__}.planner")
-    h = hashlib.sha256()
-    cycles = 0
+    sc = dataclasses.replace(pg.builtin_scenario(name), actions=("walk", "crawl"))
+    planner_mod.time = types.SimpleNamespace(monotonic=lambda c=itertools.count(): float(next(c)))
     try:
-        for name in WALLED_OFF:
-            sc = dataclasses.replace(pg.builtin_scenario(name), actions=("walk", "crawl"))
-            for seed in range(WALLED_SEEDS):
-                planner_mod.time = types.SimpleNamespace(monotonic=lambda c=itertools.count(): float(next(c)))
-                config = pg.PlannerConfig(t_max=WALLED_READS, seed=seed)
-                planner = pg.Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, config)
-                planner.find_path()
-                h.update(planner.graph.dump().encode())
-                h.update(planner.event_log().encode())
-                cycles += planner.stats.cycles
+        t0 = time.perf_counter()
+        config = pg.PlannerConfig(t_max=WALLED_READS, seed=seed)
+        planner = pg.Planner(sc.world, sc.profile, sc.start, list(sc.goals), sc.actions, config)
+        planner.find_path()
+        elapsed = time.perf_counter() - t0
     finally:
         planner_mod.time = time
-    return h.hexdigest(), cycles
+    h = hashlib.sha256()
+    h.update(planner.graph.dump().encode())
+    h.update(planner.event_log().encode())
+    return elapsed, h.digest(), planner.stats.cycles
 
 
 def main(argv=None) -> int:
@@ -112,12 +114,23 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="paired_timing_") as tmp:
         sys.path.insert(0, tmp)
         pkgs = [load(src.resolve(), f"posgraph_{side}", Path(tmp)) for src, side in zip((args.base, args.change), SIDES)]
-        walled = [walled_off(pg) for pg in pkgs]
-        if walled[0][0] != walled[1][0]:
-            print(f"paired_timing: walled-off digests differ: {SIDES[0]} {walled[0][0]}, {SIDES[1]} {walled[1][0]}")
+        totals = [0.0, 0.0]
+        hashes = [hashlib.sha256(), hashlib.sha256()]
+        cycles = [0, 0]
+        walled = [(name, seed) for name in WALLED_OFF for seed in range(WALLED_SEEDS)]
+        for k, (name, seed) in enumerate(walled):
+            for side in (0, 1) if k % 2 == 0 else (1, 0):
+                elapsed, digest, n = walled_off(pkgs[side], name, seed)
+                totals[side] += elapsed
+                hashes[side].update(digest)
+                cycles[side] += n
+        digests = [h.hexdigest() for h in hashes]
+        if digests[0] != digests[1]:
+            print(f"paired_timing: walled-off digests differ: {SIDES[0]} {digests[0]}, {SIDES[1]} {digests[1]}")
             return 1
-        n = len(WALLED_OFF) * WALLED_SEEDS
-        print(f"identical: {n} walled-off solves, sha256 {walled[0][0]}, cycles {walled[0][1]} and {walled[1][1]}", flush=True)
+        print(f"identical: {len(walled)} walled-off solves, sha256 {digests[0]}, cycles {cycles[0]} and {cycles[1]}")
+        ratio = totals[1] / totals[0]
+        print(f"walled-off: {SIDES[0]} {totals[0]:.3f} s  {SIDES[1]} {totals[1]:.3f} s  ratio {ratio:.4f}", flush=True)
         problems = [(name, seed) for seed in range(SEEDS) for name in pkgs[0].BUILTIN_NAMES]
         first_digests = None
         ratios = []
