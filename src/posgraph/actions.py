@@ -46,14 +46,11 @@ class TransitionQueue:
 
     def __init__(self):
         self._items: list[int] = []
-        # one flag per vertex id: a byte each, where a set costs tens
-        self._seen = bytearray()
+        self._seen: set[int] = set()
 
     def add(self, vid: int):
-        if vid >= len(self._seen):
-            self._seen.extend(bytes(vid + 1 + len(self._seen)))
-        if not self._seen[vid]:
-            self._seen[vid] = 1
+        if vid not in self._seen:
+            self._seen.add(vid)
             self._items.append(vid)
 
     def pop_random(self, rng: random.Random) -> int:

@@ -8,22 +8,20 @@ job-confirmed in place, or records its keys as refuted for good and removes
 it. The tag sets the direction: a jump is one-way, any other edge has a twin
 that shares every step.
 
-An edge key is the quantized (tag, source pose, destination pose). A key is
-live while an edge between vertices at those quantized poses exists, which
-the source's out-edges or the destination's in-edges answer; a refuted key
-is kept in a set, for good.
+One key index answers whether an edge key is live, refuted or free: it maps
+the quantized key (tag, source pose, destination pose) of each live edge to
+its id, and each refuted key to None, for good.
 
 The start's and the goals' reach sets are live: inserting an edge extends them
 in place by a search from its new end; only a removal or new endpoints make the
 next query recompute them. Copy one before changing the graph while reading it.
 
 Vertex ids are dense, so per-vertex state (records, edge ids, union-find
-parents) lives in lists indexed by id. Each vertex tag also keeps a uniform
+parents) lives in lists indexed by id. `subgraph_closest` scans a tag of at
+most SCAN_VERTICES vertices in one pass. Beyond that the tag keeps a uniform
 grid of vertex ids filed by quantized position (Ericson, Real-Time Collision
-Detection, 2004). It finds the vertex a new pose dedups into, and
-`subgraph_closest` reads each component's nearest vertex from it lazily,
-walking rings of cells outward from the target; a tag of at most
-SCAN_VERTICES vertices is scanned in one pass instead.
+Detection, 2004), from which each component's nearest vertex is read lazily,
+walking rings of cells outward from the target.
 """
 from __future__ import annotations
 
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from .world import Pose, pose_distance
+from .world import DEFAULT_METRIC_WEIGHTS, Pose, pose_distance
 
 TAG_WALK = "walk"
 TAG_CRAWL = "crawl"
@@ -65,11 +63,14 @@ NEAREST_RADIUS = 0.45
 # vertex is filed by its quantized position
 VERTEX_GRID_CELL = 0.5
 # subgraph_closest scans a tag of at most this many vertices in one pass and
-# walks the grid beyond. A scan is the cheaper only below about 128 vertices;
-# the grid starts later because perfbench keeps every walled_off dump's text,
-# so its peak memory follows the vertices a timed solve grows, and from 128
-# on the grid grew them past that memory's bound (ROADMAP item 3)
-SCAN_VERTICES = 2500
+# builds and walks the tag's grid beyond, although the grid is the faster from
+# about 128 vertices. A solve that runs to its time limit grows more vertices
+# the faster the query, and its peak memory follows them: perfbench's
+# walled_off workload, which also keeps every dump's text, read its peak
+# memory past the x1.25 bound it sets with the grid from 128 or 2,500
+# vertices on. Lower this to the crossover once that workload stops holding
+# the dumps (ROADMAP item 10)
+SCAN_VERTICES = 3000
 # dump() joins its lines in blocks of this many, never holding one string per line
 DUMP_BLOCK = 512
 
@@ -161,36 +162,25 @@ _CELL_Q = round(VERTEX_GRID_CELL / _Q_XY)
 
 class _VertexGrid:
     """One tag's vertex ids filed by quantized position in square cells, each
-    cell's ids ascending, with the span of the occupied cells. All vertices
-    that share a quantized position share a cell, so the grid also finds a
-    vertex to dedup against."""
+    cell's ids ascending, with the span of the occupied cells."""
 
     def __init__(self):
         self.cells: dict[tuple[int, int], list[int]] = {}
         self.box: list[int] | None = None  # occupied cells' x lo, x hi, y lo, y hi
 
-    def match(self, vertices: list[VertexRecord], q: tuple[int, int, int, int]) -> int | None:
-        """The vertex at quantized position q, heading ignored, if any."""
-        for vid in self.cells.get((q[0] // _CELL_Q, q[1] // _CELL_Q), ()):
-            r = vertices[vid].qpose
-            if r[0] == q[0] and r[1] == q[1] and r[3] == q[3]:
-                return vid
-        return None
-
-    def add(self, vid: int, q: tuple[int, int, int, int]) -> tuple[int, int]:
-        """File vertex vid at quantized pose q; returns its cell."""
+    def add(self, vid: int, q: tuple[int, int, int, int]):
+        """File vertex vid at quantized pose q."""
         x, y = cell = (q[0] // _CELL_Q, q[1] // _CELL_Q)
         vids = self.cells.get(cell)
         if vids is not None:
             vids.append(vid)
-            return cell
+            return
         self.cells[cell] = [vid]
         box = self.box
         if box is None:
             self.box = [x, x, y, y]
         else:
             box[0], box[1], box[2], box[3] = min(box[0], x), max(box[1], x), min(box[2], y), max(box[3], y)
-        return cell
 
     def rings(self, cx: int, cy: int):
         """(k, the id lists of the occupied cells of ring k) for each ring k
@@ -250,16 +240,16 @@ class PossibilityGraph:
         self._out: list[tuple[int, ...]] = []
         self._in: list[tuple[int, ...]] = []
         self._tag_vertices: dict[str, list[int]] = {t: [] for t in VERTEX_TAGS}
-        self._grids: dict[str, _VertexGrid] = {t: _VertexGrid() for t in VERTEX_TAGS}
+        # a tag's vertex grid, filled when subgraph_closest first walks it
+        self._grids: dict[str, _VertexGrid] = {}
         # one union-find for every tag: only same-tag edges join, so no
         # component spans two tags
         self._uf = _UnionFind()
         self._uf_dirty: set[str] = set()
-        # edge keys refuted for good
-        self._refuted: set[tuple] = set()
-        # quantized poses that two vertices (of two tags) hold, with their
-        # ids; every other quantized pose has at most one vertex
-        self._shared: dict[tuple[int, int, int, int], list[int]] = {}
+        # edge key -> id of the live edge holding it, or None once refuted
+        self._keys: dict[tuple, int | None] = {}
+        # (tag, quantized x, y, h) -> the vertex a pose there dedups into
+        self._vertex_keys: dict[tuple, int] = {}
         # "start" and "goal" reach sets; a missing one is recomputed on query
         self._reach: dict[str, set[int]] = {}
 
@@ -296,10 +286,9 @@ class PossibilityGraph:
         if chk and chk.vertex and not chk.vertex(pose):
             raise ConditionViolation(f"vertex pose fails necessary condition for {tag!r}: {pose}")
         q = quantize_pose(pose)
-        grid = self._grids[tag]
-        same = grid.match(self.vertices, q)
-        if same is not None:
-            return same
+        key = (tag, q[0], q[1], q[3])
+        if key in self._vertex_keys:
+            return self._vertex_keys[key]
         vid = self._next_vid
         self._next_vid += 1
         self.vertices.append(VertexRecord(vid, pose, tag, q))
@@ -307,12 +296,10 @@ class PossibilityGraph:
         self._in.append(())
         self._uf.parent.append(vid)
         self._tag_vertices[tag].append(vid)
-        cell = grid.add(vid, q)
-        for other in self._grids.values():
-            if other is not grid:
-                for same in other.cells.get(cell, ()):
-                    if self.vertices[same].qpose == q:
-                        self._shared[q] = [same, vid]
+        grid = self._grids.get(tag)
+        if grid is not None:
+            grid.add(vid, q)
+        self._vertex_keys[key] = vid
         return vid
 
     # -- edges ------------------------------------------------------------
@@ -325,65 +312,19 @@ class PossibilityGraph:
             return length + JUMP_SURCHARGE
         return length
 
-    def _holders(self, q: tuple[int, int, int, int]) -> Iterable[int]:
-        """Ids of the vertices at quantized pose q."""
-        shared = self._shared.get(q)
-        if shared is not None:
-            return shared
-        for grid in self._grids.values():
-            vid = grid.match(self.vertices, q)
-            if vid is not None and self.vertices[vid].qpose == q:
-                return (vid,)
-        return ()
-
-    def _joined(self, tag: str, src: int, dst: int) -> bool:
-        """Whether a live edge of the tag runs from vertex src to vertex dst,
-        judged on the shorter of src's out-edges and dst's in-edges."""
-        edges = self.edges
-        out, into = self._out[src], self._in[dst]
-        if len(out) <= len(into):
-            for eid in out:
-                e = edges[eid]
-                if e.dst == dst and e.tag == tag:
-                    return True
-        else:
-            for eid in into:
-                e = edges[eid]
-                if e.src == src and e.tag == tag:
-                    return True
-        return False
-
-    def _key_live(self, tag: str, srcs: Iterable[int], dsts: Iterable[int]) -> bool:
-        """Whether a live edge of the tag runs from a vertex of srcs, the
-        holders of one quantized pose, to one of dsts, those of another."""
-        return any(self._joined(tag, s, d) for s in srcs for d in dsts)
-
     def edge_blocked(self, tag: str, p0: Pose, p1: Pose) -> bool:
         """True if this quantized endpoint pair was refuted or already exists
         live."""
-        key = edge_key(tag, p0, p1)
-        return key in self._refuted or self._key_live(tag, self._holders(key[1]), self._holders(key[2]))
+        return edge_key(tag, p0, p1) in self._keys
 
     def edge_live(self, tag: str, p0: Pose, p1: Pose) -> bool:
         """True if an edge with these quantized endpoints currently exists."""
-        key = edge_key(tag, p0, p1)
-        return self._key_live(tag, self._holders(key[1]), self._holders(key[2]))
+        return self._keys.get(edge_key(tag, p0, p1)) is not None
 
     def edge_live_between(self, tag: str, src: int, dst: int) -> bool:
         """`edge_live` for the poses of two existing vertices, keyed on their
         stored quantized poses."""
-        if not self._shared:
-            return self._joined(tag, src, dst)
-        shared = self._shared.get
-        return self._key_live(tag, shared(self.vertices[src].qpose, (src,)), shared(self.vertices[dst].qpose, (dst,)))
-
-    def _key_blocked(self, tag: str, src: int, dst: int) -> bool:
-        """`edge_blocked` for the stored quantized poses of two vertices."""
-        if self._refuted and (tag, self.vertices[src].qpose, self.vertices[dst].qpose) in self._refuted:
-            return True
-        if self._shared:
-            return self.edge_live_between(tag, src, dst)
-        return self._joined(tag, src, dst)
+        return self._keys.get((tag, self.vertices[src].qpose, self.vertices[dst].qpose)) is not None
 
     def insert_edge(
         self,
@@ -410,14 +351,14 @@ class PossibilityGraph:
             raise KeyError("edge endpoints must be existing vertices")
         v0, v1 = self.vertices[src], self.vertices[dst]
         p0, p1 = v0.pose, v1.pose
-        if self._key_blocked(tag, src, dst):
+        if (tag, v0.qpose, v1.qpose) in self._keys:
             return []
         chk = self.checks.get(tag)
         if chk and chk.edge and not chk.edge(p0, p1):
             return []
         c = self._edge_cost(p0, p1, tag) if cost is None else cost
         ids = [self._add_one(src, dst, tag, status, c, apex)]
-        if tag != TAG_JUMP and not self._key_blocked(tag, dst, src):
+        if tag != TAG_JUMP and (tag, v1.qpose, v0.qpose) not in self._keys:
             ids.append(self._add_one(dst, src, tag, status, c, apex))
             self.edges[ids[0]].twin = ids[1]
             self.edges[ids[1]].twin = ids[0]
@@ -434,6 +375,7 @@ class PossibilityGraph:
         eid = self._next_eid
         self._next_eid += 1
         self.edges[eid] = EdgeRecord(eid, tag, src, dst, status, cost, apex)
+        self._keys[(tag, self.vertices[src].qpose, self.vertices[dst].qpose)] = eid
         self._out[src] += (eid,)
         self._in[dst] += (eid,)
         start, goal = self._reach.get("start"), self._reach.get("goal")
@@ -454,6 +396,7 @@ class PossibilityGraph:
             doom.append(self.edges[e.twin])
         for rec in doom:
             del self.edges[rec.id]
+            del self._keys[(rec.tag, self.vertices[rec.src].qpose, self.vertices[rec.dst].qpose)]
             self._out[rec.src] = tuple(x for x in self._out[rec.src] if x != rec.id)
             self._in[rec.dst] = tuple(x for x in self._in[rec.dst] if x != rec.id)
             if rec.tag in VERTEX_TAGS:
@@ -472,9 +415,9 @@ class PossibilityGraph:
             return
         self.remove_edge(eid)
         q0, q1 = self.vertices[e.src].qpose, self.vertices[e.dst].qpose
-        self._refuted.add((e.tag, q0, q1))
+        self._keys[(e.tag, q0, q1)] = None
         if e.tag != TAG_JUMP:
-            self._refuted.add((e.tag, q1, q0))
+            self._keys[(e.tag, q1, q0)] = None
 
     # -- connectivity -----------------------------------------------------
 
@@ -593,10 +536,11 @@ class PossibilityGraph:
         """Per-component nearest vertex to target as (distance, vertex id), in
         ascending order (ties toward the lower vertex id).
 
-        The entries are read lazily from the tag's vertex grid, and they
-        describe the graph as it was at the call: the graph may change while
-        they are read, but vertices inserted since do not show and components
-        merged since still count as separate."""
+        Above SCAN_VERTICES vertices the entries are read lazily from the
+        tag's vertex grid. Either way they describe the graph as it was at the
+        call: the graph may change while they are read, but vertices inserted
+        since do not show and components merged since still count as
+        separate."""
         if tag in self._uf_dirty:
             self._rebuild_uf(tag)
         vids = self._tag_vertices[tag]
@@ -611,7 +555,12 @@ class PossibilityGraph:
                 if b is None or d < b[0]:
                     best[root] = (d, vid)
             return iter(sorted(best.values()))
-        return self._closest(self._grids[tag], self._uf.parent[:], len(self.vertices), target)
+        grid = self._grids.get(tag)
+        if grid is None:
+            grid = self._grids[tag] = _VertexGrid()
+            for vid in vids:
+                grid.add(vid, self.vertices[vid].qpose)
+        return self._closest(grid, self._uf.parent[:], len(self.vertices), target)
 
     def _closest(self, grid: _VertexGrid, parent: list[int], n: int, target: Pose):
         """Entries of `subgraph_closest`, given the union-find parents and the
@@ -620,10 +569,11 @@ class PossibilityGraph:
         Ring by ring, outward from the target's cell, every vertex of a
         visited cell goes on a heap by (distance, id), unless its component
         was already given, which costs one find and no distance. An entry is
-        given once it is nearer than the border of the visited rings:
-        pose_distance is at least the planar distance, so no vertex of a ring
-        not yet visited can be nearer."""
+        given once it is nearer than the border of the visited rings, scaled
+        by the smaller planar weight of pose_distance: no vertex of a ring not
+        yet visited can be nearer."""
         vertices = self.vertices
+        planar = min(DEFAULT_METRIC_WEIGHTS[0], DEFAULT_METRIC_WEIGHTS[1])
         tx, ty = target.x, target.y
         side = _CELL_Q * _Q_XY
         # cell c spans [c * side - half, (c + 1) * side - half]
@@ -641,7 +591,7 @@ class PossibilityGraph:
                 ty - ((cy - k + 1) * side - half),
                 (cy + k) * side - half - ty,
             )
-            bound = border * (1.0 - 1e-9) - slack
+            bound = planar * border * (1.0 - 1e-9) - slack
             while heap and heap[0][0] < bound:
                 d, vid, root = heapq.heappop(heap)
                 if root not in given:
@@ -715,23 +665,16 @@ class PossibilityGraph:
             chk = self.checks.get(e.tag)
             if chk and chk.edge:
                 assert chk.edge(self.vertices[e.src].pose, self.vertices[e.dst].pose)
-        keys = {(e.tag, self.vertices[e.src].qpose, self.vertices[e.dst].qpose) for e in self.edges.values()}
+        keys = {(e.tag, self.vertices[e.src].qpose, self.vertices[e.dst].qpose): e.id for e in self.edges.values()}
         assert len(keys) == len(self.edges), "two live edges share a quantized key"
-        assert not keys & self._refuted, "a live edge holds a refuted key"
-        holders: dict[tuple, list[int]] = {}
-        for v in self.vertices:
-            holders.setdefault(v.qpose, []).append(v.id)
-        assert self._shared == {q: vids for q, vids in holders.items() if len(vids) > 1}, "shared quantized poses are misrecorded"
-        cells = {
-            tag: sorted(
+        live = {k: eid for k, eid in self._keys.items() if eid is not None}
+        assert live == keys, "the edge key index differs from the live edges"
+        for tag, g in self._grids.items():
+            held = sorted(
                 (self.vertices[vid].qpose[0] // _CELL_Q, self.vertices[vid].qpose[1] // _CELL_Q, vid)
                 for vid in self._tag_vertices[tag]
             )
-            for tag in VERTEX_TAGS
-        }
-        grid = {tag: sorted((x, y, vid) for (x, y), vids in g.cells.items() for vid in vids) for tag, g in self._grids.items()}
-        assert grid == cells, "the vertex grid differs from the vertex poses"
-        for g in self._grids.values():
+            assert sorted((x, y, vid) for (x, y), vids in g.cells.items() for vid in vids) == held, "the vertex grid differs from the vertex poses"
             assert all(vids == sorted(vids) for vids in g.cells.values()), "a grid cell is not in id order"
             if g.cells:
                 xs, ys = [x for x, _ in g.cells], [y for _, y in g.cells]

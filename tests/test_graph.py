@@ -69,7 +69,7 @@ def brute_reach(g, seeds, forward):
     return seen
 
 
-def brute_closest(g, tag, target):
+def brute_closest(g, tag, target, distance=pose_distance):
     """Per-component (vertex id, distance) minima over a fresh undirected
     search of the tag's own edges, sorted by (distance, vertex id)."""
     members = {v.id for v in g.vertices if v.tag == tag}
@@ -87,7 +87,7 @@ def brute_closest(g, tag, target):
                         comp.add(u)
                         frontier.append(u)
         done |= comp
-        best.append(min((pose_distance(g.vertices[u].pose, target), u) for u in comp))
+        best.append(min((distance(g.vertices[u].pose, target), u) for u in comp))
     return [(u, d) for d, u in sorted(best)]
 
 
@@ -531,6 +531,29 @@ def test_subgraph_closest_reads_the_graph_as_it_was_at_the_call(closest_path):
     # read now, the merged chains count once and the fresh one leads
     now = brute_closest(g, TAG_WALK, target)
     assert len(now) == 4 and now[0][0] in fresh
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subgraph_closest_holds_under_planar_weights_below_one(seed, closest_path, monkeypatch):
+    """With x and y weighted below 1, a vertex in a far ring can be nearer by
+    pose_distance than one in a near ring; the grid walk must still give
+    every entry in order."""
+    weights = (0.25, 0.5, 0.3, 1.0)
+    distance = lambda a, b: pose_distance(a, b, weights)  # noqa: E731
+    monkeypatch.setattr(graph_module, "DEFAULT_METRIC_WEIGHTS", weights)
+    monkeypatch.setattr(graph_module, "pose_distance", distance)
+    origin = Pose(0.0, 0.0, 0.0, 1.0)
+    g = PossibilityGraph()
+    # 1.6 m away in x is nearer than 0.9 m away in y
+    near_y, far_x = (g.insert_vertex(Pose(x, y, 0.0, 1.0), TAG_WALK) for x, y in ((0.0, 0.9), (1.6, 0.0)))
+    assert [vid for _, vid in g.subgraph_closest(TAG_WALK, origin)] == [far_x, near_y]
+    rng = random.Random(seed)
+    vids = [g.insert_vertex(Pose(rng.uniform(-4, 4), rng.uniform(-4, 4), 0.0, 1.0), TAG_WALK) for _ in range(40)]
+    for _ in range(15):
+        g.insert_edge(*rng.sample(vids, 2), TAG_WALK, EdgeStatus.SUFFICIENT)
+    for target in [origin] + [Pose(rng.uniform(-5, 5), rng.uniform(-5, 5), 0.0, 1.0) for _ in range(6)]:
+        want = brute_closest(g, TAG_WALK, target, distance)
+        assert [(vid, d) for d, vid in g.subgraph_closest(TAG_WALK, target)] == want
 
 
 def test_subgraph_closest_copes_with_a_far_flung_grid(closest_path):

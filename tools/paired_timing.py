@@ -26,12 +26,12 @@ them, the run also checks and times long insert-only growth: walk,crawl
 cannot solve three_routes_c or double_jump, and each side solves both at
 seeds 0 to 2 under a counting clock, the side that goes first alternating
 from solve to solve. Each `time.monotonic()` read in that side's `planner`
-module advances 1 s, and `t_max` is 1,000, so every solve does the same
-work on any machine; most of these graphs grow past `graph.SCAN_VERTICES`
-vertices a tag, from where `subgraph_closest` walks its vertex grid. The
-run exits 1 if the combined dump and log SHA-256 differs between the sides;
-otherwise it prints the summed time of each side's walled-off solves and
-their ratio.
+module advances 1 s, and `t_max` is 1,500, so every solve does the same
+work on any machine; the three_routes_c graphs grow past
+`graph.SCAN_VERTICES` vertices a tag, from where `subgraph_closest` walks
+its vertex grid. The run exits 1 if the combined dump and log SHA-256
+differs between the sides; otherwise it prints the summed time of each
+side's walled-off solves and their ratio.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ SEEDS = 40
 T_MAX = 60.0
 WALLED_OFF = ("three_routes_c", "double_jump")
 WALLED_SEEDS = 3
-WALLED_READS = 1000
+WALLED_READS = 1500
 
 
 def load(src: Path, name: str, tmp: Path):
