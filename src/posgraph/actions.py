@@ -76,14 +76,14 @@ def transition_feasible(pose: Pose, profile: RobotProfile, world: WorldModel) ->
     (x, y, theta) is read.
     """
     vol = _transition_volume(profile.crawl_len, profile.crawl_wid, profile.body_top_walk)
-    probe = Pose(pose.x, pose.y, pose.theta, 0.0)
-    if not volume_clear(probe, vol, world):
-        return False
-    return floor_solid(probe, vol.footprint, world)
+    return volume_clear(pose, vol, world) and floor_solid(pose, vol.footprint, world)
 
 
 class GaitAction:
-    """A holonomic gait (walk or crawl) tied to one posture band."""
+    """A holonomic gait (walk or crawl) tied to one posture band. Each
+    proposal is one call that returns a pose on the manifold: `step_towards`
+    for a chain step of `Planner.connect`, `transition_from` for a posture
+    transition."""
 
     def __init__(self, tag: str, profile: RobotProfile, world: WorldModel):
         if tag not in (TAG_WALK, TAG_CRAWL):
@@ -217,12 +217,11 @@ class GaitAction:
 
     # -- motion ops -------------------------------------------------------
 
-    def extend_towards(self, p0: Pose, target: Pose) -> Pose:
-        """One bounded step straight toward the target's planar position.
-
-        The heading turns to the motion direction and h slides toward the
-        gait's nominal height.
-        """
+    def step_towards(self, p0: Pose, target: Pose) -> Pose:
+        """One step of at most STEP straight toward the target's planar
+        position, on this gait's manifold: the heading turns to the motion
+        direction (kept when the target is within 1e-12), the position is
+        clamped to the world bounds and h is the nominal height."""
         dx = target.x - p0.x
         dy = target.y - p0.y
         d = math.hypot(dx, dy)
@@ -235,17 +234,11 @@ class GaitAction:
             nx = p0.x + dx / d * STEP
             ny = p0.y + dy / d * STEP
             th = math.atan2(dy, dx)
-        dh = self.nominal_h - p0.h
-        nh = self.nominal_h if abs(dh) <= STEP else p0.h + math.copysign(STEP, dh)
-        return Pose(nx, ny, th, nh)
-
-    def project(self, pose: Pose) -> Pose:
-        """Snap onto the gait manifold: h to nominal, position clamped to bounds."""
         w = self.world
         return Pose(
-            min(max(pose.x, w.bounds_x[0]), w.bounds_x[1]),
-            min(max(pose.y, w.bounds_y[0]), w.bounds_y[1]),
-            pose.theta,
+            min(max(nx, w.bounds_x[0]), w.bounds_x[1]),
+            min(max(ny, w.bounds_y[0]), w.bounds_y[1]),
+            th,
             self.nominal_h,
         )
 
@@ -273,8 +266,10 @@ class JumpAction:
     """Standing long jump: launches from the walk manifold, lands on crawl.
 
     It owns no manifold, so it takes no posture transitions, and no geometric
-    test short of the solver is trusted to prove a jump, so the sufficient
-    condition is constantly false.
+    test short of the solver is trusted to prove a jump, so it has no
+    sufficient condition: its edges stay indeterminate until a job confirms
+    them. `jump_from` proposes a jump off a walk vertex and `jump_onto` one
+    onto a crawl vertex, each as its (launch, landing) poses in one call.
     """
 
     tag = TAG_JUMP
@@ -315,49 +310,35 @@ class JumpAction:
     def necessary_edge(self, p0: Pose, p1: Pose) -> bool:
         return self.edge_apex(p0, p1) is not None
 
-    def sufficient_edge(self, p0: Pose, p1: Pose) -> bool:
-        return False
-
-    def extend_towards(self, p0: Pose, target: Pose) -> Pose:
-        """Hop along p0's heading, covering the planar distance to the target
-        up to the furthest allowable jump."""
-        d = math.hypot(target.x - p0.x, target.y - p0.y)
-        span = min(d, self.profile.jump_range_max)
-        return Pose(
-            p0.x + span * math.cos(p0.theta),
-            p0.y + span * math.sin(p0.theta),
-            p0.theta,
-            self.profile.h_crawl,
-        )
-
-    def reverse_extend(self, v0: Pose, target: Pose) -> Pose:
-        """Launch pose that would land at v0, placed toward the target and at
-        most a jump range away, heading back at v0."""
-        dx = target.x - v0.x
-        dy = target.y - v0.y
-        d = math.hypot(dx, dy)
-        span = min(d, self.profile.jump_range_max)
-        if d < 1e-12:
-            return Pose(v0.x, v0.y, v0.theta, self.profile.h_walk)
-        lx = v0.x + dx / d * span
-        ly = v0.y + dy / d * span
-        th = math.atan2(v0.y - ly, v0.x - lx)
-        return Pose(lx, ly, th, self.profile.h_walk)
-
-    def find_launch_point(self, v: Pose, target: Pose) -> Pose:
-        """Launch at v's position, facing the target, at walk height."""
+    def jump_from(self, v: Pose, target: Pose) -> tuple[Pose, Pose]:
+        """(launch, landing) of a jump off v toward the target. The launch
+        stands at v at walk height, facing the target; the landing lies along
+        that heading at the target's planar distance, capped at the jump
+        range, at crawl height. A target within 1e-12 keeps v's heading."""
         dx = target.x - v.x
         dy = target.y - v.y
-        th = v.theta if math.hypot(dx, dy) < 1e-12 else math.atan2(dy, dx)
-        return Pose(v.x, v.y, th, self.profile.h_walk)
+        d = math.hypot(dx, dy)
+        launch = Pose(v.x, v.y, v.theta if d < 1e-12 else math.atan2(dy, dx), self.profile.h_walk)
+        span = min(d, self.profile.jump_range_max)
+        th = launch.theta
+        return launch, Pose(v.x + span * math.cos(th), v.y + span * math.sin(th), th, self.profile.h_crawl)
 
-    def find_landing_point(self, v: Pose, target: Pose) -> Pose:
-        """Landing at v's position facing away from the target, so the jump
-        arrives at v from the target's direction."""
-        dx = v.x - target.x
-        dy = v.y - target.y
-        th = v.theta if math.hypot(dx, dy) < 1e-12 else math.atan2(dy, dx)
-        return Pose(v.x, v.y, th, self.profile.h_crawl)
+    def jump_onto(self, v: Pose, target: Pose) -> tuple[Pose, Pose]:
+        """(launch, landing) of a jump onto v from the target's side. The
+        landing stands at v at crawl height, facing away from the target; the
+        launch lies toward the target at its planar distance, capped at the
+        jump range, at walk height and facing v. A target within 1e-12 keeps
+        v's heading and puts both ends at v."""
+        dx = target.x - v.x
+        dy = target.y - v.y
+        d = math.hypot(dx, dy)
+        if d < 1e-12:
+            return Pose(v.x, v.y, v.theta, self.profile.h_walk), Pose(v.x, v.y, v.theta, self.profile.h_crawl)
+        landing = Pose(v.x, v.y, math.atan2(v.y - target.y, v.x - target.x), self.profile.h_crawl)
+        span = min(d, self.profile.jump_range_max)
+        lx = v.x + dx / d * span
+        ly = v.y + dy / d * span
+        return Pose(lx, ly, math.atan2(v.y - ly, v.x - lx), self.profile.h_walk), landing
 
     def spawn_confirmation_job(self, snapshot: confirm.EdgeSnapshot) -> confirm.JumpConfirmJob:
         return confirm.JumpConfirmJob(snapshot, self.profile)

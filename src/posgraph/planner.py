@@ -195,7 +195,7 @@ class Planner:
         return new_ids
 
     def connect(self, action: GaitAction, from_id: int, target: Pose) -> list[int]:
-        """Extend-project repeatedly from a vertex straight toward the target.
+        """Step repeatedly from a vertex straight toward the target.
 
         Dedup merges and already-live edges are walked through, so a chain can
         thread previously explored space; it stops at the first failed
@@ -206,7 +206,7 @@ class Planner:
         last_id = from_id
         for _ in range(self._chain_limit):
             last_pose = g.vertices[last_id].pose
-            vp = action.project(action.extend_towards(last_pose, target))
+            vp = action.step_towards(last_pose, target)
             if pose_distance(last_pose, vp, HEADING_FREE_WEIGHTS) < 1e-9:
                 break
             # a sufficient step needs no steering and passes every necessary
@@ -305,24 +305,18 @@ class Planner:
             if vid in masked:
                 continue
             v = g.vertices[vid]
-            # the near end sits at vid, on vid's manifold; the far end is
-            # planted across the gap on the other one
-            if v.tag == TAG_WALK and vid not in goal_set:
-                launching, far_tag = True, TAG_CRAWL
-                near = action.find_launch_point(v.pose, target)
-                far = action.extend_towards(near, target)
-            elif v.tag == TAG_CRAWL and vid not in start_set:
-                launching, far_tag = False, TAG_WALK
-                near = action.find_landing_point(v.pose, target)
-                far = action.reverse_extend(near, target)
-            else:
+            launching = v.tag == TAG_WALK
+            if vid in (goal_set if launching else start_set):
                 continue
-            launch, landing = (near, far) if launching else (far, near)
+            launch, landing = (action.jump_from if launching else action.jump_onto)(v.pose, target)
             if not segment_crosses_gap(self.world, launch.x, launch.y, landing.x, landing.y):
                 continue
             apex = action.edge_apex(launch, landing)
             if apex is None or g.edge_blocked(TAG_JUMP, launch, landing):
                 continue
+            # the near end sits at vid, on vid's manifold; the far end is
+            # planted across the gap on the other one
+            near, far, far_tag = (launch, landing, TAG_CRAWL) if launching else (landing, launch, TAG_WALK)
             before = g._next_vid
             near_id = g.insert_vertex(near, v.tag)
             if near_id != vid:

@@ -104,6 +104,10 @@ def parse_scenario(data: dict, name: str = "custom") -> Scenario:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"profile: {exc}") from None
 
+    for key in ("obstacles", "gaps"):
+        if not isinstance(data.get(key, []), list):
+            raise ValueError(f"{key} must be a list")
+
     obstacles = []
     for i, entry in enumerate(data.get("obstacles", [])):
         where = f"obstacles[{i}]"

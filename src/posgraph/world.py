@@ -654,6 +654,6 @@ def sample_pose(world: WorldModel, rng: random.Random) -> Pose:
     """Uniform sample over bounds x bounds x (-pi, pi] x [0, ceiling]."""
     x = rng.uniform(*world.bounds_x)
     y = rng.uniform(*world.bounds_y)
-    theta = normalize_angle(rng.uniform(-math.pi, math.pi))
+    theta = rng.uniform(-math.pi, math.pi)
     h = rng.uniform(0.0, world.ceiling)
     return Pose(x, y, theta, h)

@@ -256,7 +256,8 @@ def test_sufficient_implies_necessary_and_solution_edges_valid(matrix, capfd):
                 y = min(max(p0.y + rng.uniform(-1.2, 1.2), world.bounds_y[0]), world.bounds_y[1])
                 h1 = p0.h if rng.random() < 0.7 else rng.uniform(0.0, 2.0)
                 p1 = Pose(x, y, rng.uniform(-3.14, 3.14), h1)
-                if a.sufficient_edge(p0, p1):
+                # the jump has no sufficient condition
+                if a.tag != "jump" and a.sufficient_edge(p0, p1):
                     cs_hits[a.tag] += 1
                     violations += not judges[a.tag].necessary_edge(p0, p1)
     edge_total = 0

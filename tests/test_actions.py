@@ -133,9 +133,10 @@ def test_sufficient_edge_implies_necessary_edge_near_edges(profile):
     assert hits > 5000, hits
 
 
-def test_jump_sufficient_is_constantly_false(open_world, profile):
+def test_jump_has_no_sufficient_edge(open_world, profile):
+    # no geometric test proves a jump, so every jump edge waits for its job
     jump = build_actions(["jump"], profile, open_world)[0]
-    assert not jump.sufficient_edge(Pose(2, 4, 0, 1.0), Pose(3, 4, 0, 0.3))
+    assert not hasattr(jump, "sufficient_edge")
 
 
 # -- motion primitives ----------------------------------------------------
@@ -143,25 +144,45 @@ def test_jump_sufficient_is_constantly_false(open_world, profile):
 
 def test_extend_towards_caps_step_and_turns(open_world, profile):
     walk = gait(open_world, profile, "walk")
-    p = walk.extend_towards(Pose(1, 1, 2.0, 1.0), Pose(5, 1, 0, 1.0))
+    p = walk.step_towards(Pose(1, 1, 2.0, 1.0), Pose(5, 1, 0, 1.0))
     assert (p.x, p.y) == (pytest.approx(1.3), pytest.approx(1.0))
     assert p.theta == pytest.approx(0.0)
-    near = walk.extend_towards(Pose(1, 1, 2.0, 1.0), Pose(1.2, 1.1, 0, 1.0))
+    near = walk.step_towards(Pose(1, 1, 2.0, 1.0), Pose(1.2, 1.1, 0, 1.0))
     assert (near.x, near.y) == (1.2, 1.1)
 
 
-def test_extend_towards_slides_height_towards_nominal(open_world, profile):
-    walk = gait(open_world, profile, "walk")
-    p = walk.extend_towards(Pose(1, 1, 0, 0.3), Pose(5, 1, 0, 1.0))
-    assert p.h == pytest.approx(0.6)
-    p = walk.extend_towards(Pose(1, 1, 0, 0.9), Pose(5, 1, 0, 1.0))
-    assert p.h == pytest.approx(1.0)
+@pytest.mark.parametrize("tag", ["walk", "crawl"])
+def test_step_towards_lands_at_nominal_height(open_world, profile, tag):
+    """A step lands on the gait's manifold whatever height it starts from."""
+    action = gait(open_world, profile, tag)
+    for h in (0.0, 0.3, 0.55, 0.9, 1.0, 1.7, 25.0):
+        for target in (Pose(5, 1, 0, 1.0), Pose(1.1, 1, 0, 0.0), Pose(1, 1, 0, h)):
+            assert action.step_towards(Pose(1, 1, 0.4, h), target).h == action.nominal_h
 
 
 def test_project_clamps_bounds_and_height(open_world, profile):
     crawl = gait(open_world, profile, "crawl")
-    p = crawl.project(Pose(-1.0, 9.5, 0.8, 0.55))
-    assert (p.x, p.y, p.theta, p.h) == (0.0, 8.0, 0.8, profile.h_crawl)
+    # a target outside the bounds, within one step of a start beyond them
+    p = crawl.step_towards(Pose(-1.1, 9.6, 0.2, 0.55), Pose(-1.0, 9.5, 0.3, 0.55))
+    assert (p.x, p.y, p.h) == (0.0, 8.0, profile.h_crawl)
+    assert p.theta == pytest.approx(math.atan2(-0.1, 0.1))
+
+
+def test_builders_keep_heading_for_a_target_within_1e_12(open_world, profile):
+    """A target within 1e-12 of the start gives no direction, so every
+    builder keeps the start's heading and stays (within that distance) at
+    the start."""
+    walk = gait(open_world, profile, "walk")
+    jump = build_actions(["jump"], profile, open_world)[0]
+    v = Pose(3, 4, 2.5, 0.7)
+    for dx in (0.0, 1e-13, -7e-13):
+        target = Pose(3 + dx, 4 - dx, -1.0, 0.3)
+        assert walk.step_towards(v, target) == Pose(3, 4, 2.5, profile.h_walk)
+        launch, landing = jump.jump_from(v, target)
+        assert launch == Pose(3, 4, 2.5, profile.h_walk)
+        assert (landing.theta, landing.h) == (2.5, profile.h_crawl)
+        assert math.hypot(landing.x - 3, landing.y - 4) < 1e-12
+        assert jump.jump_onto(v, target) == (Pose(3, 4, 2.5, profile.h_walk), Pose(3, 4, 2.5, profile.h_crawl))
 
 
 # -- transitions ----------------------------------------------------------
@@ -213,30 +234,30 @@ def test_transition_queue_admits_each_vertex_once():
 
 def test_find_launch_point_faces_target(open_world, profile):
     jump = build_actions(["jump"], profile, open_world)[0]
-    p = jump.find_launch_point(Pose(2, 2, 1.0, 1.0), Pose(4, 4, 0, 0.3))
+    p, _ = jump.jump_from(Pose(2, 2, 1.0, 1.0), Pose(4, 4, 0, 0.3))
     assert (p.x, p.y, p.h) == (2, 2, profile.h_walk)
     assert p.theta == pytest.approx(math.pi / 4)
 
 
 def test_find_landing_point_faces_away_from_target(open_world, profile):
     jump = build_actions(["jump"], profile, open_world)[0]
-    p = jump.find_landing_point(Pose(4, 2, 1.0, 0.3), Pose(2, 2, 0, 1.0))
+    _, p = jump.jump_onto(Pose(4, 2, 1.0, 0.3), Pose(2, 2, 0, 1.0))
     assert (p.x, p.y, p.h) == (4, 2, profile.h_crawl)
     assert p.theta == pytest.approx(0.0)
 
 
 def test_jump_extend_spans_at_most_range(open_world, profile):
     jump = build_actions(["jump"], profile, open_world)[0]
-    far = jump.extend_towards(Pose(2, 2, 0.0, 1.0), Pose(9, 2, 0, 1.0))
+    _, far = jump.jump_from(Pose(2, 2, 0.0, 1.0), Pose(9, 2, 0, 1.0))
     assert (far.x, far.y, far.h) == (pytest.approx(3.5), pytest.approx(2.0), profile.h_crawl)
-    near = jump.extend_towards(Pose(2, 2, 0.0, 1.0), Pose(2.8, 2, 0, 1.0))
+    _, near = jump.jump_from(Pose(2, 2, 0.0, 1.0), Pose(2.8, 2, 0, 1.0))
     assert far.theta == near.theta == 0.0
     assert near.x == pytest.approx(2.8)
 
 
 def test_reverse_extend_places_launch_beyond_landing(open_world, profile):
     jump = build_actions(["jump"], profile, open_world)[0]
-    launch = jump.reverse_extend(Pose(4, 2, 0.3, 0.3), Pose(1, 2, 0, 1.0))
+    launch, _ = jump.jump_onto(Pose(4, 2, 0.3, 0.3), Pose(1, 2, 0, 1.0))
     assert (launch.x, launch.y, launch.h) == (pytest.approx(2.5), pytest.approx(2.0), profile.h_walk)
     # heading points back at the landing vertex
     assert launch.theta == pytest.approx(0.0)

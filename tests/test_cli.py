@@ -131,6 +131,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
             "huge_top", obstacles=[{"x": [2.8, 3.2], "y": [0, 3], "z": [0, 10**400]}]
         ): "error: obstacles[0]: obstacles[0].z must be a two-number list",
     }
+    # a non-list obstacles or gaps died with "TypeError: ... is not
+    # iterable", and a string with a misleading "obstacles[0] must be an object"
+    for key in ("obstacles", "gaps"):
+        for i, value in enumerate((5, None, True, "abc")):
+            geometry[scenario_with(f"{key}_{i}", **{key: value})] = f"error: {key} must be a list"
     named.update(geometry)
     svg = tmp_path / "world.svg"
     cases = [

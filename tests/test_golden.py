@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from posgraph import BUILTIN_NAMES, Planner, PlannerConfig, builtin_scenario
+from posgraph import graph as graph_module
 from posgraph.cli import EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
@@ -50,6 +51,20 @@ def test_seed0_solve_reproduces_recorded_digest(name):
     # every live edge still passes its necessary condition on the stored
     # poses, which is why confirmation does not check it again
     planner.graph.audit()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_seed0_solve_through_the_vertex_grid_reproduces_recorded_digest(name, monkeypatch):
+    """Builtin graphs stay below SCAN_VERTICES vertices a tag, so the
+    recorded solves never reach subgraph_closest's vertex grid; with the
+    threshold at 0 the grid answers from the first vertex on, and must give
+    the same graph, log and path."""
+    monkeypatch.setattr(graph_module, "SCAN_VERTICES", 0)
+    planner, digest, path_digest = _solve(name, 0)
+    # every gait grew through its tag's grid
+    assert sorted(planner.graph._grids) == sorted(a.tag for a in planner.actions if a.tag != "jump")
+    assert digest == GOLDEN[name]
+    assert path_digest == GOLDEN_PATHS[name]["0"]
 
 
 @pytest.mark.parametrize("seed", range(1, 10))

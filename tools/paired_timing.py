@@ -17,7 +17,11 @@ Every solve is hashed (graph dump, event log and `describe_path` JSON). The
 run exits 1 at the end of the first repetition whose combined SHA-256
 differs between the two sides, or from a side's own first repetition: a
 timing of two programs that do not do the same work means nothing.
-Otherwise it prints, per repetition, the summed solve time of each side and
+After the first repetition, and before its digests are compared, it prints
+a cycle table: for each side and builtin, the cycles summed over the 40
+seeds, their p90 and their max with its seed, so that a change that alters
+behaviour on purpose still shows where its cycles went. If the digests
+agree, it prints, per repetition, the summed solve time of each side and
 their ratio (change over base), and at the end the median ratio and in how
 many repetitions the change was faster.
 
@@ -29,9 +33,10 @@ from solve to solve. Each `time.monotonic()` read in that side's `planner`
 module advances 1 s, and `t_max` is 1,500, so every solve does the same
 work on any machine; the three_routes_c graphs grow past
 `graph.SCAN_VERTICES` vertices a tag, from where `subgraph_closest` walks
-its vertex grid. The run exits 1 if the combined dump and log SHA-256
-differs between the sides; otherwise it prints the summed time of each
-side's walled-off solves and their ratio.
+its vertex grid. If the combined dump and log SHA-256 differs between the
+sides, the run says so and exits 1 after the first builtin repetition and
+its cycle table; otherwise it prints the summed time of each side's
+walled-off solves and their ratio.
 """
 from __future__ import annotations
 
@@ -41,6 +46,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
 import shutil
 import statistics
 import sys
@@ -102,6 +108,19 @@ def walled_off(pg, name: str, seed: int) -> tuple[float, bytes, int]:
     return elapsed, h.digest(), planner.stats.cycles
 
 
+def print_cycle_table(cycles: list[dict[tuple[str, int], int]], names) -> None:
+    """Per side and builtin: the summed cycles over the seeds, the p90
+    (nearest rank) and the max with the lowest seed that reaches it."""
+    print(f"{'side':<7} {'builtin':<15} {'cycles':>7} {'p90':>5} {'max':>5} seed")
+    for side, counts in zip(SIDES, cycles):
+        for name in names:
+            cs = [counts[name, seed] for seed in range(SEEDS)]
+            top = max(cs)
+            p90 = sorted(cs)[math.ceil(0.9 * SEEDS) - 1]
+            print(f"{side:<7} {name:<15} {sum(cs):>7} {p90:>5} {top:>5} {cs.index(top)}")
+    sys.stdout.flush()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="src directory of the base tree")
@@ -125,33 +144,40 @@ def main(argv=None) -> int:
                 hashes[side].update(digest)
                 cycles[side] += n
         digests = [h.hexdigest() for h in hashes]
-        if digests[0] != digests[1]:
-            print(f"paired_timing: walled-off digests differ: {SIDES[0]} {digests[0]}, {SIDES[1]} {digests[1]}")
-            return 1
-        print(f"identical: {len(walled)} walled-off solves, sha256 {digests[0]}, cycles {cycles[0]} and {cycles[1]}")
-        ratio = totals[1] / totals[0]
-        print(f"walled-off: {SIDES[0]} {totals[0]:.3f} s  {SIDES[1]} {totals[1]:.3f} s  ratio {ratio:.4f}", flush=True)
+        # a difference here ends the run after the first builtin
+        # repetition, so that the cycle table is still printed
+        walled_differ = digests[0] != digests[1]
+        if walled_differ:
+            print(f"paired_timing: walled-off digests differ: {SIDES[0]} {digests[0]}, {SIDES[1]} {digests[1]}", flush=True)
+        else:
+            print(f"identical: {len(walled)} walled-off solves, sha256 {digests[0]}, cycles {cycles[0]} and {cycles[1]}")
+            ratio = totals[1] / totals[0]
+            print(f"walled-off: {SIDES[0]} {totals[0]:.3f} s  {SIDES[1]} {totals[1]:.3f} s  ratio {ratio:.4f}", flush=True)
         problems = [(name, seed) for seed in range(SEEDS) for name in pkgs[0].BUILTIN_NAMES]
         first_digests = None
         ratios = []
         for rep in range(args.reps):
             totals = [0.0, 0.0]
             hashes = [hashlib.sha256(), hashlib.sha256()]
-            cycles = [0, 0]
+            cycles = [{}, {}]
             for k, (name, seed) in enumerate(problems):
                 order = (0, 1) if (k + rep) % 2 == 0 else (1, 0)
                 for side in order:
                     elapsed, digest, n = solve(pkgs[side], name, seed)
                     totals[side] += elapsed
                     hashes[side].update(digest)
-                    cycles[side] += n
+                    cycles[side][name, seed] = n
+            if rep == 0:
+                print_cycle_table(cycles, pkgs[0].BUILTIN_NAMES)
             digests = [h.hexdigest() for h in hashes]
             if digests[0] != digests[1] or (first_digests is not None and digests != first_digests):
                 print(f"paired_timing: digests differ in repetition {rep}: {SIDES[0]} {digests[0]}, {SIDES[1]} {digests[1]}")
                 return 1
+            if walled_differ:
+                return 1
             if first_digests is None:
                 first_digests = digests
-                print(f"identical: {len(problems)} solves, sha256 {digests[0]}, cycles {cycles[0]} and {cycles[1]}")
+                print(f"identical: {len(problems)} solves, sha256 {digests[0]}, cycles {sum(cycles[0].values())} and {sum(cycles[1].values())}")
             ratio = totals[1] / totals[0]
             ratios.append(ratio)
             print(f"rep {rep}: {SIDES[0]} {totals[0]:.3f} s  {SIDES[1]} {totals[1]:.3f} s  ratio {ratio:.4f}", flush=True)
