@@ -19,9 +19,10 @@ next query recompute them. Copy one before changing the graph while reading it.
 Vertex ids are dense, so per-vertex state (records, edge ids, union-find
 parents) lives in lists indexed by id. `subgraph_closest` scans a tag of at
 most SCAN_VERTICES vertices in one pass. Beyond that the tag keeps a uniform
-grid of vertex ids filed by quantized position (Ericson, Real-Time Collision
-Detection, 2004), from which each component's nearest vertex is read lazily,
-walking rings of cells outward from the target.
+grid, a dict from each occupied square cell to the ids of the vertices whose
+position lies in it (Ericson, Real-Time Collision Detection, 2004), from
+which each component's nearest vertex is read lazily, walking rings of cells
+outward from the target.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ TAG_TRANSITION = "transition"
 VERTEX_TAGS = (TAG_WALK, TAG_CRAWL)
 EDGE_TAGS = (TAG_WALK, TAG_CRAWL, TAG_JUMP, TAG_TRANSITION)
 
-# quantization used by edge keys, vertex dedup and the vertex grid: 1 cm in
-# x/y/h, 0.01 rad in heading
+# quantization used by edge keys and vertex dedup: 1 cm in x/y/h, 0.01 rad in
+# heading
 _Q_XY = 0.01
 _Q_TH = 0.01
 _Q_H = 0.01
@@ -59,8 +60,7 @@ HEADING_FREE_WEIGHTS = (1.0, 1.0, 0.0, 1.0)
 # nearest_vertices returns at most this many vertices within this distance
 NEAREST_COUNT = 4
 NEAREST_RADIUS = 0.45
-# side of a vertex-grid cell, m; a whole number of position quanta, as a
-# vertex is filed by its quantized position
+# side of a vertex-grid cell, m
 VERTEX_GRID_CELL = 0.5
 # subgraph_closest scans a tag of at most this many vertices in one pass and
 # builds and walks the tag's grid beyond, although the grid is the faster from
@@ -155,65 +155,43 @@ def edge_key(tag: str, p0: Pose, p1: Pose) -> tuple:
     return (tag, quantize_pose(p0), quantize_pose(p1))
 
 
-# cell side in position quanta: cell (x, y) files the quantized positions
-# x * _CELL_Q to x * _CELL_Q + _CELL_Q - 1, and the same in y
-_CELL_Q = round(VERTEX_GRID_CELL / _Q_XY)
+def _cell(pose: Pose) -> tuple[int, int]:
+    """The vertex-grid cell holding a pose: cell (x, y) spans
+    [x * VERTEX_GRID_CELL, (x + 1) * VERTEX_GRID_CELL), and the same in y."""
+    return math.floor(pose.x / VERTEX_GRID_CELL), math.floor(pose.y / VERTEX_GRID_CELL)
 
 
-class _VertexGrid:
-    """One tag's vertex ids filed by quantized position in square cells, each
-    cell's ids ascending, with the span of the occupied cells."""
+def _rings(cells: dict[tuple[int, int], list[int]], cx: int, cy: int, unread: int, n: int):
+    """(k, the id lists of the occupied cells of ring k) for each ring k
+    around cell (cx, cy), outward, until the rings have held all `unread`
+    cells that were occupied when the graph had n vertices; ring k holds the
+    cells k steps away in x or y, whichever is more. A cell first filed
+    later holds only ids from n on and does not count, so it cannot end the
+    walk before an older cell further out is read.
 
-    def __init__(self):
-        self.cells: dict[tuple[int, int], list[int]] = {}
-        self.box: list[int] | None = None  # occupied cells' x lo, x hi, y lo, y hi
-
-    def add(self, vid: int, q: tuple[int, int, int, int]):
-        """File vertex vid at quantized pose q."""
-        x, y = cell = (q[0] // _CELL_Q, q[1] // _CELL_Q)
-        vids = self.cells.get(cell)
-        if vids is not None:
-            vids.append(vid)
+    Probing stops once it has cost eight lookups per counted cell; the rings
+    left are then read from the cells themselves, sorted by ring, so the
+    empty rings between two distant vertices cost nothing."""
+    get = cells.get
+    budget = 8 * unread
+    vids = get((cx, cy))
+    found = [vids] if vids else []
+    k = 0
+    while True:
+        unread -= sum(vids[0] < n for vids in found)
+        yield k, found
+        if not unread:
             return
-        self.cells[cell] = [vid]
-        box = self.box
-        if box is None:
-            self.box = [x, x, y, y]
-        else:
-            box[0], box[1], box[2], box[3] = min(box[0], x), max(box[1], x), min(box[2], y), max(box[3], y)
-
-    def rings(self, cx: int, cy: int):
-        """(k, the id lists of the occupied cells of ring k) for each ring k
-        around cell (cx, cy), outward, until the rings cover every occupied
-        cell; ring k holds the cells k steps away in x or y, whichever is
-        more.
-
-        Probing stops once it has cost eight lookups per occupied cell; the
-        rings left are then read from the cells themselves, sorted by ring,
-        so the empty rings between two distant vertices cost nothing."""
-        cells = self.cells
-        if not cells:
-            return
-        xlo, xhi, ylo, yhi = self.box
-        get = cells.get
-        budget = 8 * len(cells)
-        vids = get((cx, cy))
-        yield 0, [vids] if vids else []
-        k = 1
-        while cx - k >= xlo or cx + k <= xhi or cy - k >= ylo or cy + k <= yhi:
-            budget -= 8 * k
-            if budget < 0:
-                break
-            found = [vids for x in range(cx - k, cx + k + 1) for y in (cy - k, cy + k) if (vids := get((x, y)))]
-            found += [vids for y in range(cy - k + 1, cy + k) for x in (cx - k, cx + k) if (vids := get((x, y)))]
-            yield k, found
-            k += 1
-        else:
-            return
-        rest = sorted((max(abs(x - cx), abs(y - cy)), x, y) for x, y in cells)
-        start = bisect.bisect_left(rest, (k,))
-        for r, ring in itertools.groupby(rest[start:], key=lambda c: c[0]):
-            yield r, [cells[x, y] for _, x, y in ring]
+        k += 1
+        budget -= 8 * k
+        if budget < 0:
+            break
+        found = [vids for x in range(cx - k, cx + k + 1) for y in (cy - k, cy + k) if (vids := get((x, y)))]
+        found += [vids for y in range(cy - k + 1, cy + k) for x in (cx - k, cx + k) if (vids := get((x, y)))]
+    rest = sorted((max(abs(x - cx), abs(y - cy)), x, y) for x, y in cells)
+    start = bisect.bisect_left(rest, (k,))
+    for r, ring in itertools.groupby(rest[start:], key=lambda c: c[0]):
+        yield r, [cells[x, y] for _, x, y in ring]
 
 
 class PossibilityGraph:
@@ -240,8 +218,9 @@ class PossibilityGraph:
         self._out: list[tuple[int, ...]] = []
         self._in: list[tuple[int, ...]] = []
         self._tag_vertices: dict[str, list[int]] = {t: [] for t in VERTEX_TAGS}
-        # a tag's vertex grid, filled when subgraph_closest first walks it
-        self._grids: dict[str, _VertexGrid] = {}
+        # a tag's vertex grid, filled when subgraph_closest first walks it:
+        # cell -> the ids of the tag's vertices there, ascending
+        self._grids: dict[str, dict[tuple[int, int], list[int]]] = {}
         # one union-find for every tag: only same-tag edges join, so no
         # component spans two tags
         self._uf = _UnionFind()
@@ -296,9 +275,9 @@ class PossibilityGraph:
         self._in.append(())
         self._uf.parent.append(vid)
         self._tag_vertices[tag].append(vid)
-        grid = self._grids.get(tag)
-        if grid is not None:
-            grid.add(vid, q)
+        cells = self._grids.get(tag)
+        if cells is not None:
+            cells.setdefault(_cell(pose), []).append(vid)
         self._vertex_keys[key] = vid
         return vid
 
@@ -555,16 +534,16 @@ class PossibilityGraph:
                 if b is None or d < b[0]:
                     best[root] = (d, vid)
             return iter(sorted(best.values()))
-        grid = self._grids.get(tag)
-        if grid is None:
-            grid = self._grids[tag] = _VertexGrid()
+        cells = self._grids.get(tag)
+        if cells is None:
+            cells = self._grids[tag] = {}
             for vid in vids:
-                grid.add(vid, self.vertices[vid].qpose)
-        return self._closest(grid, self._uf.parent[:], len(self.vertices), target)
+                cells.setdefault(_cell(self.vertices[vid].pose), []).append(vid)
+        return self._closest(cells, len(cells), self._uf.parent[:], len(self.vertices), target)
 
-    def _closest(self, grid: _VertexGrid, parent: list[int], n: int, target: Pose):
-        """Entries of `subgraph_closest`, given the union-find parents and the
-        vertex count at the call.
+    def _closest(self, cells: dict, occupied: int, parent: list[int], n: int, target: Pose):
+        """Entries of `subgraph_closest`, given the number of occupied cells,
+        the union-find parents and the vertex count at the call.
 
         Ring by ring, outward from the target's cell, every vertex of a
         visited cell goes on a heap by (distance, id), unless its component
@@ -575,29 +554,22 @@ class PossibilityGraph:
         vertices = self.vertices
         planar = min(DEFAULT_METRIC_WEIGHTS[0], DEFAULT_METRIC_WEIGHTS[1])
         tx, ty = target.x, target.y
-        side = _CELL_Q * _Q_XY
-        # cell c spans [c * side - half, (c + 1) * side - half]
-        half = 0.5 * _Q_XY
-        cx, cy = math.floor((tx + half) / side), math.floor((ty + half) / side)
+        side = VERTEX_GRID_CELL
+        cx, cy = _cell(target)
         # the border is shrunk to cover rounding in it and in the distances
         slack = 1e-9 * (1.0 + abs(tx) + abs(ty))
         heap: list[tuple[float, int, int]] = []
         given: set[int] = set()
-        for k, cells in grid.rings(cx, cy):
+        for k, ring in _rings(cells, cx, cy, occupied, n):
             # distance from the target to the square of the rings inside ring k
-            border = min(
-                tx - ((cx - k + 1) * side - half),
-                (cx + k) * side - half - tx,
-                ty - ((cy - k + 1) * side - half),
-                (cy + k) * side - half - ty,
-            )
+            border = min(tx - (cx - k + 1) * side, (cx + k) * side - tx, ty - (cy - k + 1) * side, (cy + k) * side - ty)
             bound = planar * border * (1.0 - 1e-9) - slack
             while heap and heap[0][0] < bound:
                 d, vid, root = heapq.heappop(heap)
                 if root not in given:
                     given.add(root)
                     yield d, vid
-            for vids in cells:
+            for vids in ring:
                 for vid in vids:
                     # ids ascend within a cell, and those from n on are newer
                     # than the call
@@ -669,16 +641,10 @@ class PossibilityGraph:
         assert len(keys) == len(self.edges), "two live edges share a quantized key"
         live = {k: eid for k, eid in self._keys.items() if eid is not None}
         assert live == keys, "the edge key index differs from the live edges"
-        for tag, g in self._grids.items():
-            held = sorted(
-                (self.vertices[vid].qpose[0] // _CELL_Q, self.vertices[vid].qpose[1] // _CELL_Q, vid)
-                for vid in self._tag_vertices[tag]
-            )
-            assert sorted((x, y, vid) for (x, y), vids in g.cells.items() for vid in vids) == held, "the vertex grid differs from the vertex poses"
-            assert all(vids == sorted(vids) for vids in g.cells.values()), "a grid cell is not in id order"
-            if g.cells:
-                xs, ys = [x for x, _ in g.cells], [y for _, y in g.cells]
-                assert g.box == [min(xs), max(xs), min(ys), max(ys)], "the vertex grid box is not its cells' span"
+        for tag, cells in self._grids.items():
+            held = sorted((*_cell(self.vertices[vid].pose), vid) for vid in self._tag_vertices[tag])
+            assert sorted((x, y, vid) for (x, y), vids in cells.items() for vid in vids) == held, "the vertex grid differs from the vertex poses"
+            assert all(vids == sorted(vids) for vids in cells.values()), "a grid cell is not in id order"
         fresh = {"start": self._bfs([self.start_id], self._out, True), "goal": self._bfs(self.goal_ids, self._in, False)}
         for name, reach in self._reach.items():
             assert reach == fresh[name], f"{name} reach set differs from a fresh search"

@@ -216,10 +216,23 @@ class RobotProfile:
             raise ValueError("profile r_necessary must be smaller than r_walk")
         if self.r_necessary >= 0.5 * self.crawl_wid:
             raise ValueError("profile r_necessary must be smaller than half the crawl width")
-        if self.jump_range_max > self.v_max ** 2 / self.g + 1e-9:
+        if self.stride < self.res:
+            raise ValueError("profile stride must be >= res")
+        # v_max * v_max, not v_max ** 2: a square past the float range is then
+        # inf, not an OverflowError
+        if self.jump_range_max > self.v_max * self.v_max / self.g + 1e-9:
             raise ValueError("profile jump_range_max exceeds the level-ground ballistic range v_max^2/g")
         if not 0.0 <= self.jump_angle_min < self.jump_angle_max < 0.5 * math.pi:
             raise ValueError("profile jump angle window must satisfy 0 <= min < max < pi/2")
+        # a flight of time T rises g T^2 / 8 above its chord's midpoint, and
+        # the launch angle window caps g T^2 / 2 at d tan(jump_angle_max) - dz
+        # (`confirm.solve_jump_bvp`), d at most jump_range_max and -dz at most
+        # the drop from the top of the walk band to the foot of the crawl band
+        drop = self.h_walk + self.delta_walk - (self.h_crawl - self.delta_crawl)
+        top = (self.jump_range_max * math.tan(self.jump_angle_max) + drop) / 4.0
+        rise = max(self.apex_grid)
+        if rise > top:
+            raise ValueError(f"profile apex_grid rises must be <= {top:.6g}, the rise of the steepest jump, got {rise!r}")
 
 
 # a zero or negative stride never ends the foothold loop of a gait

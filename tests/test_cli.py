@@ -300,7 +300,7 @@ def test_help_exits_zero(capsys):
     assert "--time-limit" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("grid", [5, [-0.2]])
+@pytest.mark.parametrize("grid", [5, [-0.2], [1e308]])
 def test_bad_apex_grid_exits_one_without_traceback(tmp_path, capsys, grid):
     # a jump scenario, so a grid that slipped through would reach the parabola probe
     scn = small_scenario_file(
@@ -341,10 +341,13 @@ def test_far_from_origin_world_exits_one_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("field, value", [("stride", 0), ("stride", -0.4), ("res", float("inf")), ("r_jump", float("nan"))])
+@pytest.mark.parametrize(
+    "field, value", [("stride", 0), ("stride", -0.4), ("stride", 1e-7), ("res", float("inf")), ("r_jump", float("nan"))]
+)
 def test_bad_profile_number_exits_one_at_once(tmp_path, capsys, field, value):
     # three_routes_b spawns gait confirmation jobs, whose foothold loop never
-    # ended on a stride <= 0; json writes inf and nan as Infinity and NaN
+    # ended on a stride <= 0 and ran for seconds past the time limit on a
+    # stride far below res; json writes inf and nan as Infinity and NaN
     data = emit_scenario(builtin_scenario("three_routes_b"))
     data["profile"][field] = value
     scn = tmp_path / "bad_profile.json"

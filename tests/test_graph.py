@@ -25,8 +25,8 @@ from posgraph.graph import (
 from posgraph.world import pose_distance
 
 
-def build_line(g, tag, xs, status=EdgeStatus.SUFFICIENT):
-    ids = [g.insert_vertex(Pose(x, 0.0, 0.0, 1.0), tag) for x in xs]
+def build_line(g, tag, xs, status=EdgeStatus.SUFFICIENT, y=0.0):
+    ids = [g.insert_vertex(Pose(x, y, 0.0, 1.0), tag) for x in xs]
     for a, b in itertools.pairwise(ids):
         g.insert_edge(a, b, tag, status)
     return ids
@@ -478,9 +478,9 @@ def test_subgraph_closest_orders_components():
 
 
 def _border_coords(rng):
-    """Coordinates on and beside vertex-grid cell borders (a cell files the
-    1 cm quanta from its lower border, so the borders sit half a quantum
-    below multiples of the cell side), negative ones included."""
+    """Coordinates on and beside vertex-grid cell borders (the borders sit at
+    multiples of the cell side, and a cell holds its lower border), negative
+    ones included."""
     k = rng.randint(-8, 8)
     return k * VERTEX_GRID_CELL + rng.choice((-0.005, -0.0049, 0.0, 0.0049, 0.005, rng.uniform(0, VERTEX_GRID_CELL)))
 
@@ -515,22 +515,31 @@ def test_subgraph_closest_matches_brute_force(seed, closest_path):
 def test_subgraph_closest_reads_the_graph_as_it_was_at_the_call(closest_path):
     """An iterator from before a change keeps giving the entries of the graph
     at its call: components merged since still count as separate, and new
-    vertices do not show."""
+    vertices do not show. A cell first filed since, nearer the target than
+    cells occupied at the call, must not cut the grid walk short of the
+    farthest of those cells, which holds a lone vertex."""
     g = PossibilityGraph()
-    chains = [build_line(g, TAG_WALK, [x0 + 0.3 * i for i in range(4)]) for x0 in (0.0, 2.0, 4.0, 6.0, 8.0)]
+    # ten cells within two rings of the target's, so that the grid walk
+    # reaches the lone vertex four rings out before its lookup budget runs out
+    chains = [
+        build_line(g, TAG_WALK, [x0 + 0.3 * i for i in range(4)], y=y)
+        for x0, y in ((0.0, 0.0), (0.0, 1.2), (0.0, -0.8), (-1.0, 1.2), (-1.0, -0.8))
+    ]
+    build_line(g, TAG_WALK, [2.2], y=0.2)
     target = Pose(0.1, 0.2, 0.0, 1.0)
     want = brute_closest(g, TAG_WALK, target)
     entries = g.subgraph_closest(TAG_WALK, target)
     assert next(entries) == (want[0][1], want[0][0])
     # merge the second chain into the first and the fourth into the third,
-    # and add vertices nearer the target than any left to read
+    # add vertices nearer the target than any left to read, and one more in
+    # the empty cell between the first chain and the lone vertex
     g.insert_edge(chains[0][-1], chains[1][0], TAG_WALK, EdgeStatus.SUFFICIENT)
     g.insert_edge(chains[2][-1], chains[3][0], TAG_WALK, EdgeStatus.SUFFICIENT)
-    fresh = build_line(g, TAG_WALK, [0.15, 0.45])
+    fresh = build_line(g, TAG_WALK, [0.15, 0.45, 1.6])
     assert [(vid, d) for d, vid in entries] == want[1:]
     # read now, the merged chains count once and the fresh one leads
     now = brute_closest(g, TAG_WALK, target)
-    assert len(now) == 4 and now[0][0] in fresh
+    assert len(now) == 5 and now[0][0] in fresh
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -221,6 +221,7 @@ def test_bad_apex_grid_rejected_at_parse(grid):
     [
         ("stride", 0, "stride must be > 0"),
         ("stride", -0.4, "stride must be > 0"),
+        ("stride", 1e-7, "stride must be >= res"),
         ("res", math.inf, "res must be a finite number"),
         ("r_jump", math.nan, "r_jump must be a finite number"),
     ],
@@ -228,3 +229,10 @@ def test_bad_apex_grid_rejected_at_parse(grid):
 def test_bad_profile_number_rejected_at_parse(field, value, message):
     with pytest.raises(ValueError, match=f"profile: profile {message}"):
         parse_scenario(minimal_data(profile={field: value}))
+
+
+def test_huge_v_max_is_judged_like_any_other_profile():
+    # v_max ** 2 overflowed, and the OverflowError named no field
+    assert parse_scenario(minimal_data(profile={"v_max": 1e200})).profile.v_max == 1e200
+    with pytest.raises(ValueError, match="profile: profile jump angle window"):
+        parse_scenario(minimal_data(profile={"v_max": 1e200, "jump_angle_min": 1.5, "jump_angle_max": 1.0}))

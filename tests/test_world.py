@@ -990,9 +990,24 @@ def test_gap_within_bounds_every_jump_segment():
 def test_robot_profile_apex_grid_validation():
     assert RobotProfile(apex_grid=[1, 0.5]).apex_grid == (1.0, 0.5)
     assert all(type(a) is float for a in RobotProfile(apex_grid=(0, 2)).apex_grid)
-    for bad in (5, (), [-0.2], ["0.2"], [True], [float("nan")], [float("inf")], "0.2"):
+    for bad in (5, (), [-0.2], ["0.2"], [True], [float("nan")], [float("inf")], "0.2", [0.2, 1e308]):
         with pytest.raises(ValueError, match="apex_grid"):
             RobotProfile(apex_grid=bad)
+
+
+def test_apex_grid_cap_is_the_rise_of_the_steepest_jump():
+    """A rise above the chord's midpoint of g T^2 / 8 belongs to a flight of
+    time T; the cap is that rise for the longest flight the launch angle
+    window admits, the longest jump at the steepest angle from the top of
+    the walk band to the foot of the crawl band."""
+    p = RobotProfile()
+    d = p.jump_range_max
+    dz = (p.h_crawl - p.delta_crawl) - (p.h_walk + p.delta_walk)
+    # tan(jump_angle_max) = (dz + g T^2 / 2) / d
+    top = p.g * (2.0 * (d * math.tan(p.jump_angle_max) - dz) / p.g) / 8.0
+    assert RobotProfile(apex_grid=[0.2, top * (1 - 1e-12)]).apex_grid[1] > 2.3
+    with pytest.raises(ValueError, match="profile apex_grid rises must be <= 2.37673"):
+        RobotProfile(apex_grid=[0.2, top * (1 + 1e-12)])
 
 
 # -- the open-step accept and sampled floor support ----------------------------
